@@ -6,6 +6,12 @@ gets the exact distance to the nearest opposite-sign or near-zero sample,
 the maximizing center is refined by bisection toward its nearest sign
 change, and the result is compared against a theoretical radius bound.
 
+Distances cost in proportion to the grid and the answer. The torus EDT
+wrap-pads each axis only as far as the largest distance reaches (see
+``_grid_distances`` for why that is exact), and the sphere's graph distances
+come from one compiled multi-source Dijkstra per sign
+(``scipy.sparse.csgraph``).
+
 The reported r_lower is a certificate *at grid resolution*: no sampled
 point within r_lower of the center has the opposite sign; r_upper adds one
 grid diagonal as an upper estimate of the true maximum.
@@ -16,7 +22,6 @@ records the seed that produced it.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -32,6 +37,7 @@ from .torus import TrigPoly
 _NEAR_ZERO = 1e-12
 _REFINE_STEPS = 40
 _SPHERE_KNN = 8
+_TORUS_PAD = 8
 
 
 @dataclass(frozen=True)
@@ -131,23 +137,41 @@ def _torus_wrap_delta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _grid_distances(sgn: np.ndarray, spacing, periodic: bool):
     """Exact Euclidean distance from every cell to the nearest cell of the
-    opposite sign (or a near-zero cell), per sign."""
+    opposite sign (or a near-zero cell), per sign.
+
+    On the torus each axis is wrap-padded by a width p that starts at
+    ``_TORUS_PAD`` cells (capped at n // 2, the largest nearest-image offset
+    on an axis of n cells) and is sized to the answer. Every padded cell is
+    an image of a real cell, so a padded distance is never below the true
+    wrap-around distance; a true distance of at most p * h has its nearest
+    image within p cells on every axis, inside the pad, and so is found
+    exactly. If the largest central distance exceeds p * h on an axis that
+    is not yet at its cap, the EDT is redone once with p = ceil(max / h) + 1,
+    which bounds every true distance. The second sign starts from the first
+    sign's final pad: the two largest radii are mostly alike.
+    """
     out = {}
+    caps = [n // 2 for n in sgn.shape]
+    pad = [min(_TORUS_PAD, c) for c in caps]
     for s in (1, -1):
         seeds = sgn != s  # opposite sign or zero
         if not seeds.any():
             out[s] = None
             continue
-        if periodic:
-            pad = tuple(n // 2 for n in sgn.shape)
+        if not periodic:
+            out[s] = distance_transform_edt(~seeds, sampling=spacing)
+            continue
+        while True:
             padded = np.pad(
                 ~seeds, tuple((p, p) for p in pad), mode="wrap"
             )  # True where NOT seed
             dist = distance_transform_edt(padded, sampling=spacing)
-            sl = tuple(slice(p, p + n) for p, n in zip(pad, sgn.shape))
-            out[s] = dist[sl]
-        else:
-            out[s] = distance_transform_edt(~seeds, sampling=spacing)
+            dist = dist[tuple(slice(p, p + n) for p, n in zip(pad, sgn.shape))]
+            top = float(dist.max())
+            if all(p == c or top <= p * h for p, c, h in zip(pad, caps, spacing)):
+                break
+            pad = [min(math.ceil(top / h) + 1, c) for h, c in zip(spacing, caps)]
+        out[s] = dist
     return out
 
 
@@ -291,7 +315,49 @@ def _fibonacci_sphere(n_points: int) -> np.ndarray:
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
+def _sphere_graph_radius(pts: np.ndarray, sgn: np.ndarray) -> np.ndarray:
+    """Per sample of sign +-1, the shortest-path length to the nearest sample
+    of another sign in the directed kNN graph of the spiral (0 on zeros).
+
+    Each sample has edges to its ``_SPHERE_KNN`` nearest neighbors, weighted
+    by their great-circle arcs; one multi-source Dijkstra per sign runs in
+    scipy's compiled csgraph. Path lengths never undercut the geodesic.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra
+
+    n_points = pts.shape[0]
+    tree = cKDTree(pts)
+    _, nbr = tree.query(pts, k=_SPHERE_KNN + 1)
+    nbr = nbr[:, 1:]  # drop self
+    cosines = np.clip(np.einsum("ij,ikj->ik", pts, pts[nbr]), -1.0, 1.0)
+    arc = np.arccos(cosines)
+    # row u holds the edges u -> nbr[u, k] of length arc[u, k]
+    graph = csr_array(
+        (arc.ravel(), nbr.ravel(), np.arange(0, nbr.size + 1, _SPHERE_KNN)),
+        shape=(n_points, n_points),
+    )
+    radius = np.zeros(n_points)
+    for s in (1, -1):
+        mine = sgn == s
+        sources = np.nonzero(~mine)[0]
+        if not mine.any() or sources.size == 0:
+            continue
+        dist = dijkstra(graph, directed=True, indices=sources, min_only=True)
+        radius[mine] = dist[mine]
+    return radius
+
+
 def _sphere_search(f, dom: SearchDomain, seed) -> SignBallReport:
+    """Sign search on the equal-area spiral of ``resolution**2`` points.
+
+    Ranks the samples by their kNN-graph distance to another sign
+    (``_sphere_graph_radius``, compiled Dijkstra), then replaces the graph
+    distance of the leaders, those within 10 % of the best (at most 512),
+    by the exact arc to the nearest sample of another sign; the opposite-sign
+    points are gathered once per sign. The best leader is the center, and
+    its radius is sharpened by slerp bisection toward that sample.
+    """
     n_points = dom.resolution**2
     pts = _fibonacci_sphere(n_points)
     values = _evaluate(f, pts)
@@ -311,49 +377,23 @@ def _sphere_search(f, dom: SearchDomain, seed) -> SignBallReport:
             seed=seed,
             notes="constant sign on the whole grid",
         )
-    tree = cKDTree(pts)
-    _, nbr = tree.query(pts, k=_SPHERE_KNN + 1)
-    nbr = nbr[:, 1:]  # drop self
-    cosines = np.clip(np.einsum("ij,ikj->ik", pts, pts[nbr]), -1.0, 1.0)
-    arc = np.arccos(cosines)
-
-    def dijkstra(sources: np.ndarray) -> np.ndarray:
-        dist = np.full(n_points, np.inf)
-        dist[sources] = 0.0
-        heap = [(0.0, int(s)) for s in sources]
-        heapq.heapify(heap)
-        while heap:
-            d0, u = heapq.heappop(heap)
-            if d0 > dist[u]:
-                continue
-            for v, w in zip(nbr[u], arc[u]):
-                nd = d0 + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, int(v)))
-        return dist
-
-    radius = np.zeros(n_points)
-    for s in (1, -1):
-        mine = sgn == s
-        if not mine.any():
-            continue
-        sources = np.nonzero(sgn != s)[0]
-        if sources.size == 0:
-            continue
-        dist = dijkstra(sources)
-        radius[mine] = dist[mine]
+    radius = _sphere_graph_radius(pts, sgn)
     # graph distances overestimate geodesics: correct the leaders exactly
     order = np.argsort(-radius, kind="stable")
     top = order[: min(512, n_points)]
     best_r = -1.0
     best_i = -1
     best_seed = None
+    opposite = {}  # sign -> (indices, points) of the samples of other signs
     for i in top:
         if radius[i] < 0.9 * radius[order[0]] and best_i >= 0:
             break
-        opp = np.nonzero(sgn != sgn[i])[0]
-        cos_to = pts[opp] @ pts[i]
+        s = int(sgn[i])
+        if s not in opposite:
+            opp = np.nonzero(sgn != s)[0]
+            opposite[s] = (opp, pts[opp])
+        opp, opp_pts = opposite[s]
+        cos_to = opp_pts @ pts[i]
         jmax = int(np.argmax(cos_to))
         exact = math.acos(max(-1.0, min(1.0, float(cos_to[jmax]))))
         if exact > best_r:

@@ -387,7 +387,9 @@ def unit_sphere_grid(n: int, order: int):
 
     Gauss-Legendre in each polar angle on [0, pi] (the integrand is analytic
     in the angles), uniform trapezoid in the periodic azimuth. Weights sum
-    to the surface area of S^(n-1). Grids up to ~1e6 points are cached.
+    to the surface area of S^(n-1). The grid has 2 * order**(n-1) points.
+    Up to 300 000 points it is kept in a 32-entry LRU cache, up to 4 000 000
+    in a 3-entry one; a larger grid is rebuilt on every call.
     """
     if n < 2:
         raise ValueError("unit_sphere_grid needs n >= 2")

@@ -1,12 +1,22 @@
 """Tests for the sign-free-ball search and the 1D sharpness probe."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import distance_transform_edt
+from scipy.spatial import cKDTree
 
+from nodal_radius import signsearch
 from nodal_radius.eigenid import bound_theorem3
 from nodal_radius.signsearch import (
+    _SPHERE_KNN,
+    _bisect_crossing,
+    _fibonacci_sphere,
+    _grid_distances,
+    _signs,
+    _sphere_graph_radius,
     SearchDomain,
     largest_signfree_ball,
     random_eigen_mix,
@@ -77,6 +87,80 @@ class TestTorusSearch:
             assert ok1 and ok2
 
 
+def full_pad_torus_distances(sgn, spacing):
+    """Reference: EDT on the grid wrap-padded by n // 2 on every side."""
+    out = {}
+    for s in (1, -1):
+        seeds = sgn != s
+        if not seeds.any():
+            out[s] = None
+            continue
+        pad = tuple(n // 2 for n in sgn.shape)
+        padded = np.pad(~seeds, tuple((p, p) for p in pad), mode="wrap")
+        dist = distance_transform_edt(padded, sampling=spacing)
+        out[s] = dist[tuple(slice(p, p + n) for p, n in zip(pad, sgn.shape))]
+    return out
+
+
+class TestTorusDistances:
+    """The answer-sized wrap pad gives the full-pad distances, element for element."""
+
+    def pads_used(self, monkeypatch, sgn, spacing):
+        shapes = []
+
+        def edt(a, **kw):
+            shapes.append(a.shape)
+            return distance_transform_edt(a, **kw)
+
+        monkeypatch.setattr(signsearch, "distance_transform_edt", edt)
+        got = _grid_distances(sgn, spacing, periodic=True)
+        monkeypatch.undo()
+        return got, [(shape[0] - sgn.shape[0]) // 2 for shape in shapes]
+
+    def assert_same(self, got, want):
+        assert got.keys() == want.keys()
+        for s in want:
+            if want[s] is None:
+                assert got[s] is None
+            else:
+                assert np.array_equal(got[s], want[s])
+
+    @pytest.mark.parametrize("dim, n", [(1, 512), (2, 128), (3, 48)])
+    def test_random_trig_grids(self, dim, n):
+        rng = np.random.default_rng(40 + dim)
+        for _ in range(4):
+            f = random_trig_poly(rng, dim, max_shells=4, max_norm=8)
+            sgn, _ = _signs(f.eval_grid(n))
+            spacing = (1.0 / n,) * dim
+            self.assert_same(
+                _grid_distances(sgn, spacing, periodic=True),
+                full_pad_torus_distances(sgn, spacing),
+            )
+
+    def test_first_pad_too_small_grows(self, monkeypatch):
+        # half-periods of cos 2 pi x: distances reach 64 cells of 256
+        n = 256
+        sgn, _ = _signs(cosine_1d(1).eval_grid(n))
+        got, pads = self.pads_used(monkeypatch, sgn, (1.0 / n,))
+        self.assert_same(got, full_pad_torus_distances(sgn, (1.0 / n,)))
+        assert pads[0] == signsearch._TORUS_PAD
+        assert signsearch._TORUS_PAD < pads[1] < n // 2
+
+    def test_far_region_reaches_cap(self, monkeypatch):
+        # cos 2 pi x1 + cos 2 pi x2 - 1.9: a small positive blob at the origin,
+        # negative elsewhere, so the negative cells' distances reach across
+        # half the torus
+        n = 64
+        x = np.arange(n) / n
+        values = np.cos(2 * np.pi * x)[:, None] + np.cos(2 * np.pi * x)[None, :] - 1.9
+        sgn, _ = _signs(values)
+        assert (sgn == 1).any() and (sgn == -1).any()
+        spacing = (1.0 / n, 1.0 / n)
+        got, pads = self.pads_used(monkeypatch, sgn, spacing)
+        self.assert_same(got, full_pad_torus_distances(sgn, spacing))
+        assert n // 2 in pads
+
+
 class TestBoxSearch:
     def test_single_wave_in_box(self):
         rng = np.random.default_rng(17)
@@ -100,6 +184,62 @@ class TestBoxSearch:
             assert passed
 
 
+def heap_graph_radius(pts, sgn):
+    """Reference: the kNN-graph distances by a heapq Dijkstra per sign."""
+    n_points = pts.shape[0]
+    _, nbr = cKDTree(pts).query(pts, k=_SPHERE_KNN + 1)
+    nbr = nbr[:, 1:]
+    arc = np.arccos(np.clip(np.einsum("ij,ikj->ik", pts, pts[nbr]), -1.0, 1.0))
+    radius = np.zeros(n_points)
+    for s in (1, -1):
+        mine = sgn == s
+        sources = np.nonzero(sgn != s)[0]
+        if not mine.any() or sources.size == 0:
+            continue
+        dist = np.full(n_points, np.inf)
+        dist[sources] = 0.0
+        heap = [(0.0, int(u)) for u in sources]
+        heapq.heapify(heap)
+        while heap:
+            d0, u = heapq.heappop(heap)
+            if d0 > dist[u]:
+                continue
+            for v, w in zip(nbr[u], arc[u]):
+                if d0 + w < dist[v]:
+                    dist[v] = d0 + w
+                    heapq.heappush(heap, (d0 + w, int(v)))
+        radius[mine] = dist[mine]
+    return radius
+
+
+def reference_sphere_search(f, resolution):
+    """Reference: (center, r_lower) of the sphere search with a heapq
+    Dijkstra and a per-leader gather of the opposite-sign points."""
+    pts = _fibonacci_sphere(resolution**2)
+    sgn, _ = _signs(f.eval_many(pts))
+    radius = heap_graph_radius(pts, sgn)
+    order = np.argsort(-radius, kind="stable")
+    best_r, best_i, best_seed = -1.0, -1, None
+    for i in order[:512]:
+        if radius[i] < 0.9 * radius[order[0]] and best_i >= 0:
+            break
+        opp = np.nonzero(sgn != sgn[i])[0]
+        cos_to = pts[opp] @ pts[i]
+        jmax = int(np.argmax(cos_to))
+        exact = math.acos(max(-1.0, min(1.0, float(cos_to[jmax]))))
+        if exact > best_r:
+            best_r, best_i, best_seed = exact, int(i), pts[opp[jmax]]
+    center = pts[best_i]
+    axis = best_seed - math.cos(best_r) * center
+    axis /= np.linalg.norm(axis)
+
+    def eval_arc(theta):
+        p = math.cos(theta) * center + math.sin(theta) * axis
+        return float(f.eval_many(p[None, :])[0])
+
+    return center, _bisect_crossing(eval_arc, 0.0, best_r)
+
+
 class TestSphereSearch:
     def test_degree_two_zonal_cap(self):
         # C_2^{1/2}(t) = (3 t^2 - 1)/2 changes sign at t = 1/sqrt(3); the
@@ -117,6 +257,27 @@ class TestSphereSearch:
                 f, SearchDomain.sphere(3, 96), bound_theorem2(f)
             )
             assert passed
+
+    def test_graph_radius_matches_heap_dijkstra(self):
+        rng = np.random.default_rng(31)
+        for resolution in (32, 96):
+            pts = _fibonacci_sphere(resolution**2)
+            for _ in range(3):
+                f = random_sphere_fn(rng, 3, max_degree=10)
+                sgn, _ = _signs(f.eval_many(pts))
+                assert np.array_equal(
+                    _sphere_graph_radius(pts, sgn), heap_graph_radius(pts, sgn)
+                )
+
+    def test_search_matches_reference_search(self):
+        rng = np.random.default_rng(32)
+        for resolution in (32, 96):
+            for _ in range(3):
+                f = random_sphere_fn(rng, 3, max_degree=12)
+                report = largest_signfree_ball(f, SearchDomain.sphere(3, resolution))
+                center, r_lower = reference_sphere_search(f, resolution)
+                assert np.allclose(report.center, center, rtol=0.0, atol=1e-12)
+                assert report.r_lower == pytest.approx(r_lower, rel=0.0, abs=1e-12)
 
     def test_non_3d_sphere_rejected(self):
         with pytest.raises(ValueError):
