@@ -9,6 +9,15 @@ must reproduce, the ODE residual satisfied by the radial derivative profile,
 and the closed-form/Kirchhoff/Poisson solutions of the driven wave equation
 used in the degree-lowering argument for eigenfunction mixes.
 
+Every shell sum, the weighted sum of phi over the product-rule grid of the
+sphere of radius s about x, comes from ``_shell_sums``. Since
+phi(x + s omega) = sum amp cos(<k, x> + phase + s <k, omega>), it needs only
+each wave's projection <k, omega> over the grid, which the rule's per-axis
+factors (``sphere.sphere_grid_factors``) give by nesting over the angles.
+The grid points themselves are never formed, and the values are those of
+phi's own definition at the rule's nodes, not the closed-form Bessel mean
+that the identity check compares against.
+
 Sign convention: wave_factor(lam, t) = (cos(sqrt(lam) t) - 1)/lam, and
 kirchhoff_3d / poisson_2d return the wave field matching that factor; the
 raw positive ball integral is -4*pi times the n=3 wave field.
@@ -22,7 +31,7 @@ import math
 import numpy as np
 
 from .specfun import AccuracyError, ball_volume, bessel_j, gamma_fn, gauss_legendre, quad_adaptive
-from .sphere import unit_sphere_grid
+from .sphere import sphere_grid_factors
 
 _LAMBDA_TOL = 1e-10
 
@@ -37,6 +46,8 @@ _ANGULAR_LADDERS = {
     8: (7, 10, 13),
 }
 _RADIAL_LADDER = (32, 48, 64, 96)
+# elements of cos(<k, x> + phase + s <k, omega>) evaluated at once (8 MB)
+_SHELL_BLOCK = 1 << 20
 
 
 def _angular_ladder(n: int):
@@ -221,29 +232,66 @@ def _wave_scale(phi) -> float:
     return sum(abs(a) for _, a, _ in phi.waves)
 
 
-def _converged_angular_order(phi, x, s: float, tol: float) -> int:
-    """Smallest ladder order at which the shell average of phi stabilizes."""
+def _shell_sums(phi: PlaneWaveEigen, x, radii, order: int) -> np.ndarray:
+    """sum_j w_j phi(x + s omega_j) for each s in radii, on the grid
+    ``unit_sphere_grid(n, order)``, whose weights sum to the surface area.
+
+    Per wave, the projection <k, omega'> over the grid's axes after the
+    first angle t0 is built once; blocks of first-angle rows then form
+    <k, omega> = k0 cos t0 + sin t0 <k', omega'> and evaluate the cosine for
+    a block of radii, at most ``_SHELL_BLOCK`` elements at a time, before
+    contracting with the separable weights.
+    """
+    grid = sphere_grid_factors(phi.dim, order)
+    radii = np.asarray(radii, dtype=float)
+    first = grid.angles[0]
+    cos0, sin0, w0 = np.cos(first), np.sin(first), grid.axis_weights[0]
+    w_tail = grid.weights(start=1)
+    rows = min(first.size, max(1, _SHELL_BLOCK // w_tail.size))
+    per_block = max(1, _SHELL_BLOCK // (rows * w_tail.size))
+    out = np.zeros(radii.size)
+    for k, amp, phase in phi.waves:
+        c = float(np.dot(k, x)) + phase
+        tail = grid.projection(k[1:], start=1).ravel()
+        for a in range(0, first.size, rows):
+            g = np.multiply.outer(sin0[a : a + rows], tail)
+            g += k[0] * cos0[a : a + rows, None]
+            w_rows = amp * w0[a : a + rows]
+            for b in range(0, radii.size, per_block):
+                arg = np.multiply.outer(radii[b : b + per_block], g)
+                arg += c
+                np.cos(arg, out=arg)
+                out[b : b + per_block] += (arg @ w_tail) @ w_rows
+    return out
+
+
+def _converged_shell(phi: PlaneWaveEigen, x, s: float, tol: float):
+    """(order, average) at the first ladder order where the average of phi
+    over the sphere of radius s about x agrees with the previous order's
+    within tol (or within machine noise for the wave amplitudes); the top
+    order and its average if none does.
+    """
     n = phi.dim
     area = n * ball_volume(n)
     floor = 8e-16 * (1.0 + _wave_scale(phi))
     prev = None
-    ladder = _angular_ladder(n)
-    for order in ladder:
-        pts, w = unit_sphere_grid(n, order)
-        val = float(np.dot(w, phi.eval_many(x + s * pts))) / area
+    for order in _angular_ladder(n):
+        val = float(_shell_sums(phi, x, [s], order)[0]) / area
         if prev is not None and abs(val - prev) <= max(tol * (1.0 + abs(val)), floor):
-            return order
+            break
         prev = val
-    return ladder[-1]
+    return order, val
 
 
 def radial_average(phi, x, s: float, tol: float = 1e-10) -> float:
     """Average of phi over the sphere of radius s centered at x.
 
     Product-rule spherical quadrature (Gauss-Legendre polar angles, uniform
-    azimuth) with the order doubled along a ladder until two successive
+    azimuth) with the order climbing a ladder until two successive
     estimates agree within tol (or within machine noise for the wave
-    amplitudes); the last estimate is returned.
+    amplitudes); the last estimate is returned. Each estimate is a shell
+    sum of phi's plane waves evaluated on their projections onto the grid
+    (``_shell_sums``), not on materialized grid points.
     """
     x = np.asarray(x, dtype=float)
     s = float(s)
@@ -251,17 +299,7 @@ def radial_average(phi, x, s: float, tol: float = 1e-10) -> float:
         raise ValueError(f"shell radius must be >= 0, got {s!r}")
     if s == 0.0:
         return phi.eval(x)
-    n = phi.dim
-    area = n * ball_volume(n)
-    floor = 8e-16 * (1.0 + _wave_scale(phi))
-    prev = None
-    for order in _angular_ladder(n):
-        pts, w = unit_sphere_grid(n, order)
-        val = float(np.dot(w, phi.eval_many(x + s * pts))) / area
-        if prev is not None and abs(val - prev) <= max(tol * (1.0 + abs(val)), floor):
-            return val
-        prev = val
-    return prev
+    return _converged_shell(phi, x, s, tol)[1]
 
 
 def coulomb_ball_integral(phi: PlaneWaveEigen, x, r: float, tol: float = 1e-8) -> float:
@@ -270,7 +308,9 @@ def coulomb_ball_integral(phi: PlaneWaveEigen, x, r: float, tol: float = 1e-8) -
     Computed as the nested quadrature n omega_n int_0^r s * Av(s) ds with the
     shell averages Av evaluated on a product spherical grid; radial and
     angular orders climb a ladder until two successive estimates agree
-    within tol/2 each.
+    within tol/2 each. One estimate takes the shell sums at all its radial
+    nodes from one ``_shell_sums`` call, which evaluates the plane waves on
+    their projections onto the grid instead of on (N, n) point arrays.
 
     Raises AccuracyError if the ladders are exhausted without convergence.
     """
@@ -283,14 +323,12 @@ def coulomb_ball_integral(phi: PlaneWaveEigen, x, r: float, tol: float = 1e-8) -
         raise ValueError("the Coulomb kernel integral needs n >= 3")
     if x.shape != (n,):
         raise ValueError(f"point must have shape ({n},), got {x.shape}")
+
     def estimate(q: int, p: int) -> float:
         rule = gauss_legendre(q, 0.0, r)
-        pts, w = unit_sphere_grid(n, p)
-        total = 0.0
-        for s, ws in zip(rule.nodes, rule.weights):
-            shell = float(np.dot(w, phi.eval_many(x + s * pts)))
-            total += ws * s * shell  # shell already carries the area factor
-        return total  # = n omega_n int s Av(s) ds since sum(w) = n omega_n
+        shells = _shell_sums(phi, x, rule.nodes, p)  # carry the area factor
+        # = n omega_n int s Av(s) ds since the grid weights sum to n omega_n
+        return float(np.dot(rule.weights * rule.nodes, shells))
 
     angular = _angular_ladder(n)
     prev = None
@@ -332,18 +370,13 @@ def _profile_stencil(n: int, phi: PlaneWaveEigen, x, r: float):
     being amplified by 1/h^2.
     """
     x = np.asarray(x, dtype=float)
-    nwn = n * ball_volume(n)
     h = 1e-4 * max(1.0, r)
-    order = _converged_angular_order(phi, x, r, tol=1e-11)
-    pts, w = unit_sphere_grid(n, order)
-    area = nwn
-
-    def R(s):
-        if s <= 0.0:
-            return 0.0
-        return nwn * s * (float(np.dot(w, phi.eval_many(x + s * pts))) / area)
-
-    return R(r - h), R(r), R(r + h), h
+    order, _ = _converged_shell(phi, x, r, tol=1e-11)
+    radii = np.array([r - h, r, r + h])
+    # the shell sums carry the area factor n omega_n
+    shells = _shell_sums(phi, x, radii, order)
+    rm, r0, rp = (float(s * v) if s > 0.0 else 0.0 for s, v in zip(radii, shells))
+    return rm, r0, rp, h
 
 
 def ode_residual_R(n: int, phi: PlaneWaveEigen, x, r: float) -> float:

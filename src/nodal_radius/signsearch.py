@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -315,29 +316,40 @@ def _fibonacci_sphere(n_points: int) -> np.ndarray:
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
-def _sphere_graph_radius(pts: np.ndarray, sgn: np.ndarray) -> np.ndarray:
-    """Per sample of sign +-1, the shortest-path length to the nearest sample
-    of another sign in the directed kNN graph of the spiral (0 on zeros).
+@lru_cache(maxsize=8)
+def _spiral_graph(n_points: int):
+    """The spiral of ``n_points`` samples and its directed kNN graph.
 
     Each sample has edges to its ``_SPHERE_KNN`` nearest neighbors, weighted
-    by their great-circle arcs; one multi-source Dijkstra per sign runs in
-    scipy's compiled csgraph. Path lengths never undercut the geodesic.
+    by their great-circle arcs; row u of the CSR graph holds the edges
+    u -> v. Both depend only on the number of points, so they are cached;
+    every array is read-only.
     """
     from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import dijkstra
 
-    n_points = pts.shape[0]
-    tree = cKDTree(pts)
-    _, nbr = tree.query(pts, k=_SPHERE_KNN + 1)
+    pts = _fibonacci_sphere(n_points)
+    _, nbr = cKDTree(pts).query(pts, k=_SPHERE_KNN + 1)
     nbr = nbr[:, 1:]  # drop self
     cosines = np.clip(np.einsum("ij,ikj->ik", pts, pts[nbr]), -1.0, 1.0)
-    arc = np.arccos(cosines)
-    # row u holds the edges u -> nbr[u, k] of length arc[u, k]
     graph = csr_array(
-        (arc.ravel(), nbr.ravel(), np.arange(0, nbr.size + 1, _SPHERE_KNN)),
+        (np.arccos(cosines).ravel(), nbr.ravel(), np.arange(0, nbr.size + 1, _SPHERE_KNN)),
         shape=(n_points, n_points),
     )
-    radius = np.zeros(n_points)
+    for arr in (pts, graph.data, graph.indices, graph.indptr):
+        arr.setflags(write=False)
+    return pts, graph
+
+
+def _sphere_graph_radius(graph, sgn: np.ndarray) -> np.ndarray:
+    """Per sample of sign +-1, the shortest-path length to the nearest sample
+    of another sign in the spiral's kNN graph (0 on zeros).
+
+    One multi-source Dijkstra per sign runs in scipy's compiled csgraph.
+    Path lengths never undercut the geodesic.
+    """
+    from scipy.sparse.csgraph import dijkstra
+
+    radius = np.zeros(sgn.size)
     for s in (1, -1):
         mine = sgn == s
         sources = np.nonzero(~mine)[0]
@@ -352,14 +364,15 @@ def _sphere_search(f, dom: SearchDomain, seed) -> SignBallReport:
     """Sign search on the equal-area spiral of ``resolution**2`` points.
 
     Ranks the samples by their kNN-graph distance to another sign
-    (``_sphere_graph_radius``, compiled Dijkstra), then replaces the graph
+    (``_sphere_graph_radius``, compiled Dijkstra on the cached graph of
+    ``_spiral_graph``), then replaces the graph
     distance of the leaders, those within 10 % of the best (at most 512),
     by the exact arc to the nearest sample of another sign; the opposite-sign
     points are gathered once per sign. The best leader is the center, and
     its radius is sharpened by slerp bisection toward that sample.
     """
     n_points = dom.resolution**2
-    pts = _fibonacci_sphere(n_points)
+    pts, graph = _spiral_graph(n_points)
     values = _evaluate(f, pts)
     sgn, scale = _signs(values)
     # typical spacing of the equal-area spiral; one "grid diagonal"
@@ -377,7 +390,20 @@ def _sphere_search(f, dom: SearchDomain, seed) -> SignBallReport:
             seed=seed,
             notes="constant sign on the whole grid",
         )
-    radius = _sphere_graph_radius(pts, sgn)
+    if not sgn.any():
+        # every sample is (numerically) zero: no sign-free ball at all
+        return SignBallReport(
+            center=tuple(map(float, pts[0])),
+            r_lower=0.0,
+            r_upper=diag,
+            samples_used=n_points,
+            resolution=dom.resolution,
+            domain="sphere",
+            dim=3,
+            seed=seed,
+            notes="grid values all within the zero threshold",
+        )
+    radius = _sphere_graph_radius(graph, sgn)
     # graph distances overestimate geodesics: correct the leaders exactly
     order = np.argsort(-radius, kind="stable")
     top = order[: min(512, n_points)]

@@ -382,12 +382,99 @@ def geodesic_distance(a, b) -> float:
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class SphereGridFactors:
+    """Per-axis factors of the product rule ``unit_sphere_grid(n, order)``.
+
+    The grid's angles are ``n - 2`` polar angles, each at the Gauss-Legendre
+    nodes ``polar`` on [0, pi], then the azimuth ``azimuth``: 2 * order
+    uniform angles in [0, 2 pi). A point is
+    (cos t0, sin t0 cos t1, ..., sin t0 ... sin t_{n-3} cos phi,
+    sin t0 ... sin t_{n-3} sin phi), and its weight is the product of one
+    entry of each ``axis_weights`` array: the polar weights times
+    sin^(n-2-i)(t_i) on polar axis i, then 2 pi / (2 order). Points run in
+    C order over the angle axes.
+
+    The factors from axis ``start`` on are those of the same rule on
+    S^(n-1-start): the grid splits as omega = (cos t0, sin t0 * omega').
+    """
+
+    dim: int
+    order: int
+    polar: np.ndarray
+    polar_weights: np.ndarray
+    azimuth: np.ndarray
+    axis_weights: tuple
+
+    @property
+    def angles(self) -> tuple:
+        return (self.polar,) * (self.dim - 2) + (self.azimuth,)
+
+    def weights(self, start: int = 0) -> np.ndarray:
+        """Grid weights over the axes from ``start`` on, raveled in point order.
+
+        ``start = dim - 1`` leaves no axis and gives ``[1.0]``.
+        """
+        w = np.ones(1)
+        for aw in reversed(self.axis_weights[start:]):
+            w = np.multiply.outer(aw, w).ravel()
+        return w
+
+    def projection(self, k, start: int = 0) -> np.ndarray:
+        """<k, omega> over the grid, shaped as the angle axes from ``start`` on.
+
+        k has dim - start entries; ``.ravel()`` runs in point order. The
+        projection nests over the angles, k0 cos t0 + sin t0 (k1 cos t1 +
+        sin t1 (... + k_{n-2} cos phi + k_{n-1} sin phi)), so it costs one
+        multiply-add per grid point and never forms the points.
+        """
+        k = np.asarray(k, dtype=float)
+        angles = self.angles[start:]
+        if k.shape != (len(angles) + 1,):
+            raise ValueError(
+                f"k must have {len(angles) + 1} entries for axes {start}.., got shape {k.shape}"
+            )
+        g = np.asarray(k[-1])
+        for a, ki in zip(reversed(angles), reversed(k[:-1])):
+            lead = (slice(None),) + (None,) * g.ndim
+            g = np.multiply.outer(np.sin(a), g)
+            g += (ki * np.cos(a))[lead]
+        return g
+
+
+@lru_cache(maxsize=64)
+def sphere_grid_factors(n: int, order: int) -> SphereGridFactors:
+    """The per-axis factors of ``unit_sphere_grid(n, order)`` (cached, read-only)."""
+    if n < 2:
+        raise ValueError("the sphere grid needs n >= 2")
+    n, order = int(n), int(order)
+    n_phi = 2 * order
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    w_phi = np.full(n_phi, 2.0 * np.pi / n_phi)
+    if n == 2:
+        polar = polar_weights = np.empty(0)
+    else:
+        rule = gauss_legendre(order, 0.0, math.pi)
+        polar, polar_weights = rule.nodes, rule.weights
+    # measure: prod_i sin^(n-2-i)(t_i) over the polar axes i = 0..n-3
+    axis_weights = tuple(
+        polar_weights * np.sin(polar) ** (n - 2 - i) for i in range(n - 2)
+    ) + (w_phi,)
+    for arr in (polar, polar_weights, phi) + axis_weights:
+        arr.setflags(write=False)
+    return SphereGridFactors(n, order, polar, polar_weights, phi, axis_weights)
+
+
 def unit_sphere_grid(n: int, order: int):
     """Product quadrature grid on S^(n-1): points (N, n) and weights (N,).
 
     Gauss-Legendre in each polar angle on [0, pi] (the integrand is analytic
     in the angles), uniform trapezoid in the periodic azimuth. Weights sum
     to the surface area of S^(n-1). The grid has 2 * order**(n-1) points.
+    The rule is defined once, by ``sphere_grid_factors(n, order)``: the
+    points are its projections onto the coordinate axes and the weights the
+    product of its per-axis weights, so a caller that needs only <k, omega>
+    and the weights can take them from the factors without forming the grid.
     Up to 300 000 points it is kept in a 32-entry LRU cache, up to 4 000 000
     in a 3-entry one; a larger grid is rebuilt on every call.
     """
@@ -412,31 +499,11 @@ def _sphere_grid_cached_large(n: int, order: int):
 
 
 def _build_sphere_grid(n: int, order: int):
-    n_phi = 2 * order
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    w_phi = np.full(n_phi, 2.0 * np.pi / n_phi)
-    if n == 2:
-        pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        return pts, w_phi
-    rule = gauss_legendre(order, 0.0, math.pi)
-    angle_nodes = [rule.nodes] * (n - 2) + [phi]
-    angle_weights = [rule.weights] * (n - 2) + [w_phi]
-    mesh = np.meshgrid(*angle_nodes, indexing="ij")
-    wmesh = np.meshgrid(*angle_weights, indexing="ij")
-    theta = [m.ravel() for m in mesh]
-    weight = np.ones(theta[0].size)
-    for i, wm in enumerate(wmesh):
-        weight = weight * wm.ravel()
-    # measure: prod_i sin^(n-1-i)(theta_i), i = 1..n-2
-    for i in range(n - 2):
-        weight = weight * np.sin(theta[i]) ** (n - 2 - i)
-    coords = np.empty((theta[0].size, n))
-    sin_prod = np.ones(theta[0].size)
-    for i in range(n - 2):
-        coords[:, i] = sin_prod * np.cos(theta[i])
-        sin_prod = sin_prod * np.sin(theta[i])
-    coords[:, n - 2] = sin_prod * np.cos(theta[n - 2])
-    coords[:, n - 1] = sin_prod * np.sin(theta[n - 2])
+    grid = sphere_grid_factors(n, order)
+    coords = np.empty((2 * order ** (n - 1), n))
+    for i, e in enumerate(np.eye(n)):
+        coords[:, i] = grid.projection(e).ravel()
+    weight = grid.weights()
     coords.setflags(write=False)
     weight.setflags(write=False)
     return coords, weight

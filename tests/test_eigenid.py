@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from nodal_radius import eigenid
-from nodal_radius.specfun import bessel_j, gamma_fn
+from nodal_radius.specfun import AccuracyError, bessel_j, gamma_fn, gauss_legendre
+from nodal_radius.sphere import unit_sphere_grid
 from nodal_radius.eigenid import (
     EigenMix,
     PlaneWaveEigen,
@@ -194,6 +195,103 @@ class TestRadialAverage:
         assert radial_average(both, x, 1.1, tol=1e-11) == pytest.approx(
             va + vb, abs=1e-10
         )
+
+
+def pointwise_shell_sum(phi, x, s, order):
+    """sum_j w_j phi(x + s omega_j) on the materialized grid points."""
+    pts, w = unit_sphere_grid(phi.dim, order)
+    return float(np.dot(w, phi.eval_many(x + s * pts)))
+
+
+def reference_radial_average(phi, x, s, tol):
+    """The order ladder of radial_average, one pointwise shell sum per order."""
+    n = phi.dim
+    area = n * eigenid.ball_volume(n)
+    floor = 8e-16 * (1.0 + sum(abs(a) for _, a, _ in phi.waves))
+    prev = None
+    for order in eigenid._angular_ladder(n):
+        val = pointwise_shell_sum(phi, x, s, order) / area
+        if prev is not None and abs(val - prev) <= max(tol * (1.0 + abs(val)), floor):
+            return val
+        prev = val
+    return prev
+
+
+def reference_coulomb(phi, x, r, tol):
+    """The ladders of coulomb_ball_integral, one pointwise shell sum per radial node."""
+
+    def estimate(q, p):
+        rule = gauss_legendre(q, 0.0, r)
+        total = 0.0
+        for s, ws in zip(rule.nodes, rule.weights):
+            total += ws * s * pointwise_shell_sum(phi, x, s, p)
+        return total
+
+    prev = None
+    for q, p in zip(eigenid._RADIAL_LADDER, eigenid._angular_ladder(phi.dim)):
+        val = estimate(q, p)
+        if prev is not None and abs(val - prev) <= 0.5 * tol * (1.0 + abs(val)):
+            val2 = estimate(min(q + q // 2, 2 * q), p)
+            if abs(val2 - val) <= 0.5 * tol * (1.0 + abs(val2)):
+                return val2
+        prev = val
+    raise AccuracyError("reference ladder exhausted", estimate=prev)
+
+
+class TestProjectedShells:
+    """The projected shell sums against the pointwise evaluation on the grid."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_shell_sums_match_pointwise(self, n):
+        rng = np.random.default_rng(500 + n)
+        for order in eigenid._angular_ladder(n)[:2]:
+            for _ in range(2):
+                phi = random_eigen(rng, n, float(rng.uniform(0.5, 9.0)), int(rng.integers(1, 4)))
+                x = rng.normal(size=n)
+                radii = np.sort(rng.uniform(0.05, 4.0, size=5))
+                got = eigenid._shell_sums(phi, x, radii, order)
+                ref = [pointwise_shell_sum(phi, x, s, order) for s in radii]
+                # relative to sum_j |w_j| * sum |amp|, the size of any shell sum
+                scale = n * eigenid.ball_volume(n) * eigenid._wave_scale(phi)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+    def test_shell_sums_split_into_blocks(self, monkeypatch):
+        # blocks smaller than one first-angle row still cover every point
+        rng = np.random.default_rng(511)
+        phi = random_eigen(rng, 4, 2.0, 2)
+        x = rng.normal(size=4)
+        radii = np.linspace(0.2, 2.0, 7)
+        whole = eigenid._shell_sums(phi, x, radii, 12)
+        monkeypatch.setattr(eigenid, "_SHELL_BLOCK", 100)
+        split = eigenid._shell_sums(phi, x, radii, 12)
+        assert np.allclose(split, whole, rtol=0.0, atol=1e-13 * np.max(np.abs(whole)))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_radial_average_matches_pointwise_ladder(self, n):
+        rng = np.random.default_rng(520 + n)
+        for _ in range(2):
+            lam = float(rng.uniform(0.5, 6.0))
+            phi = random_eigen(rng, n, lam, 2)
+            x = rng.normal(size=n) * 0.4
+            s = float(rng.uniform(0.5, 3.0)) / math.sqrt(lam)
+            got = radial_average(phi, x, s, tol=1e-10)
+            ref = reference_radial_average(phi, x, s, tol=1e-10)
+            assert got == pytest.approx(ref, rel=0.0, abs=1e-13 * (1.0 + abs(ref)))
+
+    # tolerances that stop each ladder by its second rung; the pointwise
+    # reference costs seconds per rung in n = 6
+    @pytest.mark.parametrize(
+        "n,u_hi,tol", [(3, 10.0, 1e-8), (4, 3.0, 1e-8), (5, 1.2, 1e-8), (6, 0.6, 1e-6)]
+    )
+    def test_coulomb_matches_pointwise_ladder(self, n, u_hi, tol):
+        rng = np.random.default_rng(540 + n)
+        lam = float(rng.uniform(0.5, 6.0))
+        phi = random_eigen(rng, n, lam, 2)
+        x = rng.normal(size=n) * 0.4
+        r = float(rng.uniform(0.3, u_hi)) / math.sqrt(lam)
+        got = coulomb_ball_integral(phi, x, r, tol=tol)
+        ref = reference_coulomb(phi, x, r, tol=tol)
+        assert got == pytest.approx(ref, rel=0.0, abs=1e-12 * (1.0 + abs(ref)))
 
 
 class TestCoulombIntegral:

@@ -17,6 +17,7 @@ from nodal_radius.signsearch import (
     _grid_distances,
     _signs,
     _sphere_graph_radius,
+    _spiral_graph,
     SearchDomain,
     largest_signfree_ball,
     random_eigen_mix,
@@ -262,11 +263,12 @@ class TestSphereSearch:
         rng = np.random.default_rng(31)
         for resolution in (32, 96):
             pts = _fibonacci_sphere(resolution**2)
+            _, graph = _spiral_graph(resolution**2)
             for _ in range(3):
                 f = random_sphere_fn(rng, 3, max_degree=10)
                 sgn, _ = _signs(f.eval_many(pts))
                 assert np.array_equal(
-                    _sphere_graph_radius(pts, sgn), heap_graph_radius(pts, sgn)
+                    _sphere_graph_radius(graph, sgn), heap_graph_radius(pts, sgn)
                 )
 
     def test_search_matches_reference_search(self):
@@ -278,6 +280,28 @@ class TestSphereSearch:
                 center, r_lower = reference_sphere_search(f, resolution)
                 assert np.allclose(report.center, center, rtol=0.0, atol=1e-12)
                 assert report.r_lower == pytest.approx(r_lower, rel=0.0, abs=1e-12)
+
+    def test_all_zero_grid_reported(self):
+        report = largest_signfree_ball(
+            lambda p: np.zeros(len(p)), SearchDomain.sphere(3, 32)
+        )
+        assert report.r_lower == 0.0
+        assert not report.constant_sign
+        assert report.notes == "grid values all within the zero threshold"
+        assert report.samples_used == 32**2
+
+    def test_repeated_search_identical(self):
+        f = random_sphere_fn(np.random.default_rng(33), 3, max_degree=12)
+        dom = SearchDomain.sphere(3, 64)
+        first = largest_signfree_ball(f, dom)
+        assert largest_signfree_ball(f, dom) == first
+
+    def test_cached_graph_read_only(self):
+        pts, graph = _spiral_graph(32**2)
+        assert _spiral_graph(32**2)[1] is graph
+        assert np.array_equal(pts, _fibonacci_sphere(32**2))
+        for arr in (pts, graph.data, graph.indices, graph.indptr):
+            assert not arr.flags.writeable
 
     def test_non_3d_sphere_rejected(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from nodal_radius.sphere import (
     funk_hecke_eigenvalue,
     from_json,
     geodesic_distance,
+    sphere_grid_factors,
     to_json,
     unit_sphere_grid,
 )
@@ -344,6 +345,84 @@ class TestSurfaceGrid:
             for i in range(n):
                 got = float(np.dot(w, pts[:, i] ** 2))
                 assert got == pytest.approx(sphere_surface(n) / n, rel=1e-9)
+
+
+def reference_sphere_grid(n, order):
+    """The product grid built point by point from meshgrids of its angles,
+    as unit_sphere_grid built it before it took the per-axis factors."""
+    from nodal_radius.specfun import gauss_legendre
+
+    n_phi = 2 * order
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    w_phi = np.full(n_phi, 2.0 * np.pi / n_phi)
+    if n == 2:
+        return np.stack([np.cos(phi), np.sin(phi)], axis=1), w_phi
+    rule = gauss_legendre(order, 0.0, math.pi)
+    mesh = np.meshgrid(*([rule.nodes] * (n - 2) + [phi]), indexing="ij")
+    wmesh = np.meshgrid(*([rule.weights] * (n - 2) + [w_phi]), indexing="ij")
+    theta = [m.ravel() for m in mesh]
+    weight = np.ones(theta[0].size)
+    for wm in wmesh:
+        weight = weight * wm.ravel()
+    for i in range(n - 2):
+        weight = weight * np.sin(theta[i]) ** (n - 2 - i)
+    coords = np.empty((theta[0].size, n))
+    sin_prod = np.ones(theta[0].size)
+    for i in range(n - 2):
+        coords[:, i] = sin_prod * np.cos(theta[i])
+        sin_prod = sin_prod * np.sin(theta[i])
+    coords[:, n - 2] = sin_prod * np.cos(theta[n - 2])
+    coords[:, n - 1] = sin_prod * np.sin(theta[n - 2])
+    return coords, weight
+
+
+class TestGridFactors:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_projection_matches_points(self, n):
+        rng = np.random.default_rng(100 + n)
+        for order in (3, 5):
+            pts, _ = unit_sphere_grid(n, order)
+            grid = sphere_grid_factors(n, order)
+            for _ in range(3):
+                k = rng.normal(size=n) * rng.uniform(0.5, 20.0)
+                g = grid.projection(k)
+                assert g.shape == (order,) * (n - 2) + (2 * order,)
+                err = np.max(np.abs(g.ravel() - pts @ k))
+                assert err <= 1e-14 * np.linalg.norm(k)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_separable_weights_multiply_out(self, n):
+        for order in (3, 5):
+            _, w = unit_sphere_grid(n, order)
+            grid = sphere_grid_factors(n, order)
+            assert len(grid.axis_weights) == n - 1
+            prod = np.ones(1)
+            for aw in grid.axis_weights:
+                prod = np.outer(prod, aw).ravel()
+            assert np.allclose(prod, w, rtol=1e-14, atol=0.0)
+            # the axes after the first angle carry the rule on S^(n-2)
+            tail = unit_sphere_grid(n - 1, order)[1] if n > 2 else np.ones(1)
+            assert np.allclose(grid.weights(start=1), tail, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_grid_matches_reference_builder(self, n):
+        # same rule, same point order as the meshgrid construction
+        for order in (3, 5):
+            pts, w = unit_sphere_grid(n, order)
+            ref_pts, ref_w = reference_sphere_grid(n, order)
+            assert np.allclose(pts, ref_pts, rtol=0.0, atol=1e-15)
+            assert np.allclose(w, ref_w, rtol=1e-14, atol=0.0)
+
+    def test_factors_read_only(self):
+        grid = sphere_grid_factors(4, 6)
+        for arr in (grid.polar, grid.polar_weights, grid.azimuth) + grid.axis_weights:
+            assert not arr.flags.writeable
+        pts, w = unit_sphere_grid(4, 6)
+        assert not pts.flags.writeable and not w.flags.writeable
+
+    def test_projection_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            sphere_grid_factors(4, 6).projection(np.ones(3))
 
 
 class TestJson:
