@@ -464,6 +464,12 @@ def parse_args(argv) -> RunConfig:
         raise ParseFailure("invalid command line") from exc
     if ns.resolution < 16:
         raise ParseFailure(f"resolution must be >= 16, got {ns.resolution}")
+    if not 3 <= ns.n <= 8:
+        raise ParseFailure(f"n must lie in 3..8, got {ns.n}")
+    if ns.A < 1:
+        raise ParseFailure(f"A must be >= 1, got {ns.A}")
+    if ns.B < 0:
+        raise ParseFailure(f"B must be >= 0, got {ns.B}")
     return RunConfig(
         command=ns.cmd,
         input_path=ns.input,

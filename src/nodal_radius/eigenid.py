@@ -11,12 +11,16 @@ used in the degree-lowering argument for eigenfunction mixes.
 
 Every shell sum, the weighted sum of phi over the product-rule grid of the
 sphere of radius s about x, comes from ``_shell_sums``. Since
-phi(x + s omega) = sum amp cos(<k, x> + phase + s <k, omega>), it needs only
-each wave's projection <k, omega> over the grid, which the rule's per-axis
-factors (``sphere.sphere_grid_factors``) give by nesting over the angles.
-The grid points themselves are never formed, and the values are those of
-phi's own definition at the rule's nodes, not the closed-form Bessel mean
-that the identity check compares against.
+phi(x + s omega) = sum amp cos(<k, x> + phase + s <k, omega>) and the grid
+maps onto itself under omega -> -omega, each wave contributes
+amp cos(<k, x> + phase) F(s k) with F(v) = sum_j w_j cos<v, omega_j>. F is
+summed over the rule's folded half axes (``sphere.sphere_grid_factors``),
+one polar angle at a time, with 2^(n-1) times fewer full-size cosines than
+the whole grid. The grid points themselves are never formed, and the values
+are those of phi's own definition at the rule's nodes, not the closed-form
+Bessel mean that the identity check compares against. ``poisson_2d``
+likewise takes each wave's projection onto its disk rule instead of the
+disk points.
 
 Sign convention: wave_factor(lam, t) = (cos(sqrt(lam) t) - 1)/lam, and
 kirchhoff_3d / poisson_2d return the wave field matching that factor; the
@@ -46,7 +50,7 @@ _ANGULAR_LADDERS = {
     8: (7, 10, 13),
 }
 _RADIAL_LADDER = (32, 48, 64, 96)
-# elements of cos(<k, x> + phase + s <k, omega>) evaluated at once (8 MB)
+# elements of one cosine array in _shell_sums and poisson_2d (8 MB)
 _SHELL_BLOCK = 1 << 20
 
 
@@ -236,32 +240,39 @@ def _shell_sums(phi: PlaneWaveEigen, x, radii, order: int) -> np.ndarray:
     """sum_j w_j phi(x + s omega_j) for each s in radii, on the grid
     ``unit_sphere_grid(n, order)``, whose weights sum to the surface area.
 
-    Per wave, the projection <k, omega'> over the grid's axes after the
-    first angle t0 is built once; blocks of first-angle rows then form
-    <k, omega> = k0 cos t0 + sin t0 <k', omega'> and evaluate the cosine for
-    a block of radii, at most ``_SHELL_BLOCK`` elements at a time, before
-    contracting with the separable weights.
+    The grid maps onto itself under omega -> -omega, so per wave
+    sum_j w_j cos(c + s <k, omega_j>) = cos(c) F(s k) with
+    F(v) = sum_j w_j cos<v, omega_j>, c = <k, x> + phase. F is summed over
+    the rule's folded half axes (``SphereGridFactors.folded_weights``):
+    pairing t0 with pi - t0 gives
+    F(v) = sum_{t0 <= pi/2} 2 w0 cos(v0 cos t0) F'(sin t0 v'), level by
+    level, down to the half azimuth, where phi pairs with phi + pi. That
+    takes 2^(n-1) times fewer full-size cosines than the whole grid. The
+    radii are taken in blocks whose innermost cosine array has at most
+    ``_SHELL_BLOCK`` elements, or one radius's worth if that is larger.
     """
     grid = sphere_grid_factors(phi.dim, order)
     radii = np.asarray(radii, dtype=float)
-    first = grid.angles[0]
-    cos0, sin0, w0 = np.cos(first), np.sin(first), grid.axis_weights[0]
-    w_tail = grid.weights(start=1)
-    rows = min(first.size, max(1, _SHELL_BLOCK // w_tail.size))
-    per_block = max(1, _SHELL_BLOCK // (rows * w_tail.size))
+    cos_t, sin_t = np.cos(grid.half_polar), np.sin(grid.half_polar)
+    polar_weights, ring_weights = grid.folded_weights[:-1], grid.folded_weights[-1]
+    size = grid.half_polar.size ** (phi.dim - 2) * grid.half_azimuth.size
+    per_block = max(1, _SHELL_BLOCK // size)
     out = np.zeros(radii.size)
     for k, amp, phase in phi.waves:
-        c = float(np.dot(k, x)) + phase
-        tail = grid.projection(k[1:], start=1).ravel()
-        for a in range(0, first.size, rows):
-            g = np.multiply.outer(sin0[a : a + rows], tail)
-            g += k[0] * cos0[a : a + rows, None]
-            w_rows = amp * w0[a : a + rows]
-            for b in range(0, radii.size, per_block):
-                arg = np.multiply.outer(radii[b : b + per_block], g)
-                arg += c
-                np.cos(arg, out=arg)
-                out[b : b + per_block] += (arg @ w_tail) @ w_rows
+        c = amp * math.cos(float(np.dot(k, x)) + phase)
+        ring = k[-2] * np.cos(grid.half_azimuth) + k[-1] * np.sin(grid.half_azimuth)
+        for b in range(0, radii.size, per_block):
+            # scale: s times the sines of the polar angles so far; prod: the
+            # folded weights times cos(scale k_i cos t_i) of those angles
+            scale = radii[b : b + per_block]
+            prod = np.ones(scale.size)
+            for ki, w in zip(k[:-2], polar_weights):
+                prod = np.multiply.outer(prod, w) * np.cos(np.multiply.outer(scale, ki * cos_t))
+                scale = np.multiply.outer(scale, sin_t)
+            arg = np.multiply.outer(scale, ring)
+            np.cos(arg, out=arg)
+            shells = (arg @ ring_weights) * prod
+            out[b : b + per_block] += c * shells.reshape(shells.shape[0], -1).sum(axis=1)
     return out
 
 
@@ -290,8 +301,8 @@ def radial_average(phi, x, s: float, tol: float = 1e-10) -> float:
     azimuth) with the order climbing a ladder until two successive
     estimates agree within tol (or within machine noise for the wave
     amplitudes); the last estimate is returned. Each estimate is a shell
-    sum of phi's plane waves evaluated on their projections onto the grid
-    (``_shell_sums``), not on materialized grid points.
+    sum of phi's plane waves folded onto the grid's symmetry domain
+    (``_shell_sums``), not an evaluation at materialized grid points.
     """
     x = np.asarray(x, dtype=float)
     s = float(s)
@@ -309,8 +320,8 @@ def coulomb_ball_integral(phi: PlaneWaveEigen, x, r: float, tol: float = 1e-8) -
     shell averages Av evaluated on a product spherical grid; radial and
     angular orders climb a ladder until two successive estimates agree
     within tol/2 each. One estimate takes the shell sums at all its radial
-    nodes from one ``_shell_sums`` call, which evaluates the plane waves on
-    their projections onto the grid instead of on (N, n) point arrays.
+    nodes from one ``_shell_sums`` call, which sums each plane wave over the
+    grid's folded half axes instead of evaluating phi on (N, n) point arrays.
 
     Raises AccuracyError if the ladders are exhausted without convergence.
     """
@@ -460,8 +471,16 @@ def poisson_2d(source, x, t: float, tol: float = 1e-7) -> float:
     The double Duhamel integral over the shrinking disks B(x, t-s) with
     weight ((t-s)^2 - |y-x|^2)^(-1/2); the radial weight is absorbed by the
     substitution rho = sin(psi) (a Chebyshev-type rule for that weight),
-    the angle uses the uniform rule, and the time integral is adaptive.
-    Orientation matches wave_factor, as for kirchhoff_3d.
+    the angle uses the uniform rule, and the time, radial and angular
+    orders climb a three-rung ladder until two estimates agree within
+    tol/2. Per wave, the source at the disk nodes is
+    cos(<k, x> + phase + (t - s) rho <k, omega_theta>), taken on one
+    (time node x rho x theta) array per rung in blocks of at most
+    ``_SHELL_BLOCK`` elements (one time node's worth if that is larger);
+    the disk points are never formed. Orientation matches wave_factor, as
+    for kirchhoff_3d.
+
+    Raises AccuracyError if the ladder is exhausted without convergence.
     """
     parts = _as_parts(source)
     if parts[0][1].dim != 2:
@@ -472,31 +491,29 @@ def poisson_2d(source, x, t: float, tol: float = 1e-7) -> float:
         raise ValueError(f"time must be positive, got {t!r}")
     lam_max = max(p.lam for _, p in parts)
     bandwidth = t * math.sqrt(lam_max)
-
-    def field(pts):
-        out = np.zeros(pts.shape[0])
-        for coef, eigen in parts:
-            out += coef * eigen.eval_many(pts)
-        return out
-
-    def inner(radius: float, n_theta: int, n_psi: int) -> float:
-        # int over the unit disk of f(x + radius * z) (1 - |z|^2)^(-1/2) dz
-        theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        omega = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        rule = gauss_legendre(n_psi, 0.0, 0.5 * math.pi)
-        rho = np.sin(rule.nodes)
-        w_psi = rule.weights * rho  # rho drho / sqrt(1-rho^2) = sin psi dpsi
-        pts = x + radius * rho[:, None, None] * omega[None, :, :]
-        vals = field(pts.reshape(-1, 2)).reshape(len(rho), n_theta)
-        return float(np.dot(w_psi, vals.sum(axis=1))) * (2.0 * np.pi / n_theta)
+    waves = [(k, coef * amp, phase) for coef, eigen in parts for k, amp, phase in eigen.waves]
 
     def attempt(n_theta: int, n_psi: int, q: int) -> float:
-        rule = gauss_legendre(q, 0.0, t)
+        # (1/2 pi) int_0^t radius int over the unit disk of
+        # f(x + radius z) (1 - |z|^2)^(-1/2) dz ds, radius = t - s
+        time_rule = gauss_legendre(q, 0.0, t)
+        radius = t - time_rule.nodes
+        w_time = time_rule.weights * radius
+        disk = gauss_legendre(n_psi, 0.0, 0.5 * math.pi)
+        rho = np.sin(disk.nodes)
+        w_psi = disk.weights * rho  # rho drho / sqrt(1-rho^2) = sin psi dpsi
+        theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        per_block = max(1, _SHELL_BLOCK // (n_psi * n_theta))
         total = 0.0
-        for s, ws in zip(rule.nodes, rule.weights):
-            radius = t - s
-            total += ws * radius * inner(radius, n_theta, n_psi)
-        return total / (2.0 * math.pi)
+        for k, amp, phase in waves:
+            c = float(np.dot(k, x)) + phase
+            disk_proj = np.multiply.outer(rho, k[0] * np.cos(theta) + k[1] * np.sin(theta))
+            for b in range(0, q, per_block):
+                arg = np.multiply.outer(radius[b : b + per_block], disk_proj)
+                arg += c
+                np.cos(arg, out=arg)
+                total += amp * float(w_time[b : b + per_block] @ (arg.sum(axis=2) @ w_psi))
+        return total / n_theta  # the angle weights 2 pi / n_theta over the 2 pi
 
     n_theta = max(32, 4 * int(math.ceil(bandwidth)) + 8)
     prev = None

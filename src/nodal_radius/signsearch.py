@@ -125,11 +125,17 @@ def _evaluate(f, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _signs(values: np.ndarray):
+def _signs(values: np.ndarray) -> np.ndarray:
+    """Sign of each sample, 0 within ``_NEAR_ZERO`` of the largest |value|.
+
+    Raises ValueError on a NaN or inf sample, which would make every
+    threshold NaN or inf and every sample read as zero.
+    """
     scale = float(np.max(np.abs(values))) if values.size else 0.0
+    if not math.isfinite(scale):
+        raise ValueError("function values must be finite; got NaN or inf on the grid")
     thresh = _NEAR_ZERO * scale
-    sgn = np.where(values > thresh, 1, np.where(values < -thresh, -1, 0))
-    return sgn, scale
+    return np.where(values > thresh, 1, np.where(values < -thresh, -1, 0))
 
 
 def _torus_wrap_delta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -238,7 +244,7 @@ def largest_signfree_ball(f, dom: SearchDomain, seed: Optional[int] = None) -> S
             (dom.hi[i] - dom.lo[i]) / (n - 1) for i in range(d)
         )
         periodic = False
-    sgn, scale = _signs(values)
+    sgn = _signs(values)
     diag = math.sqrt(sum(h * h for h in spacing))
     if np.all(sgn == sgn.flat[0]) and sgn.flat[0] != 0:
         idx = np.unravel_index(0, values.shape)
@@ -374,7 +380,7 @@ def _sphere_search(f, dom: SearchDomain, seed) -> SignBallReport:
     n_points = dom.resolution**2
     pts, graph = _spiral_graph(n_points)
     values = _evaluate(f, pts)
-    sgn, scale = _signs(values)
+    sgn = _signs(values)
     # typical spacing of the equal-area spiral; one "grid diagonal"
     diag = 2.0 * math.sqrt(4.0 * math.pi / n_points)
     if np.all(sgn == sgn[0]) and sgn[0] != 0:
@@ -475,7 +481,7 @@ def verify_bound(f, dom: SearchDomain, bound: float, seed: Optional[int] = None)
 def _largest_gap_on_circle(values: np.ndarray) -> float:
     """Longest arc (fraction of the period) without a sign change."""
     n = values.size
-    sgn, _ = _signs(values)
+    sgn = _signs(values)
     nxt = np.roll(sgn, -1)
     change = (sgn * nxt < 0) | (sgn == 0)
     idx = np.nonzero(change)[0]
@@ -486,12 +492,15 @@ def _largest_gap_on_circle(values: np.ndarray) -> float:
     return float(max(gaps.max(initial=0), wrap)) / n
 
 
-def _band_poly_values(A: int, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Re(sum_j coeffs[j] e^{2 pi i (A+j) x}) on the sample points."""
-    vals = np.zeros(x.size)
-    for j, c in enumerate(coeffs):
-        vals += np.real(c * np.exp(2j * np.pi * (A + j) * x))
-    return vals
+def _band_poly_values(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Re(sum_j coeffs[j] e^{2 pi i (A+j) x}) on the sample points, from the
+    ``_band_table`` columns of the band's frequencies A .. A + len(coeffs) - 1."""
+    return np.real(table[:, : coeffs.size] @ coeffs)
+
+
+def _band_table(A: int, B: int, x: np.ndarray) -> np.ndarray:
+    """e^{2 pi i (A+j) x} on the sample points, one column per j = 0..B."""
+    return np.exp(np.multiply.outer(x, 2j * np.pi * (A + np.arange(B + 1))))
 
 
 def _structured_coeffs(A: int, B: int, roots: np.ndarray, psi: float) -> np.ndarray:
@@ -527,26 +536,27 @@ def sharpness_probe(
         resolution = 2**14
     rng = np.random.default_rng(seed)
     x = np.arange(resolution) / resolution
+    table = _band_table(A, B, x)  # every band [A, A+B'] takes its first B'+1 columns
     best = 0.0
     for Bp in range(0, B + 1):
-        best = max(best, _probe_band(A, Bp, trials, rng, x))
+        best = max(best, _probe_band(A, Bp, trials, rng, x, table))
     return best
 
 
-def _probe_band(A: int, B: int, trials: int, rng, x: np.ndarray) -> float:
+def _probe_band(A: int, B: int, trials: int, rng, x: np.ndarray, table: np.ndarray) -> float:
     if B == 0:
         return _largest_gap_on_circle(np.cos(2.0 * np.pi * A * x))
     best = 0.0
     # random draws
     for _ in range(trials // 2):
         coeffs = rng.normal(size=B + 1) + 1j * rng.normal(size=B + 1)
-        best = max(best, _largest_gap_on_circle(_band_poly_values(A, coeffs, x)))
+        best = max(best, _largest_gap_on_circle(_band_poly_values(table, coeffs)))
     # structured cluster on consecutive carrier zeros around 1/2
     M = 2 * A + B
     roots = np.array([0.5 + (j - (B - 1) / 2.0) / M for j in range(B)])
     psi = 0.0
     cur = _largest_gap_on_circle(
-        _band_poly_values(A, _structured_coeffs(A, B, roots, psi), x)
+        _band_poly_values(table, _structured_coeffs(A, B, roots, psi))
     )
     step0 = 1.0 / (4.0 * M)
     for it in range(trials // 2):
@@ -554,7 +564,7 @@ def _probe_band(A: int, B: int, trials: int, rng, x: np.ndarray) -> float:
         cand_roots = roots + rng.normal(scale=step0 * scale, size=B)
         cand_psi = psi + rng.normal(scale=0.3 * scale)
         gap = _largest_gap_on_circle(
-            _band_poly_values(A, _structured_coeffs(A, B, cand_roots, cand_psi), x)
+            _band_poly_values(table, _structured_coeffs(A, B, cand_roots, cand_psi))
         )
         if gap > cur:
             cur, roots, psi = gap, cand_roots, cand_psi

@@ -397,6 +397,15 @@ class SphereGridFactors:
 
     The factors from axis ``start`` on are those of the same rule on
     S^(n-1-start): the grid splits as omega = (cos t0, sin t0 * omega').
+
+    The rule maps onto itself under t_i -> pi - t_i on each polar axis (the
+    Gauss-Legendre nodes and weights are symmetric) and under
+    phi -> phi + pi (the azimuth has an even number of nodes). Its folded
+    half axes are ``half_polar``, the polar nodes t <= pi/2, and
+    ``half_azimuth``, the first ``order`` azimuth nodes. ``folded_weights``
+    holds one array per axis: each polar axis weight doubled for its mirror
+    node, except an odd order's middle node pi/2, which is its own mirror,
+    then the azimuth weight doubled.
     """
 
     dim: int
@@ -405,6 +414,9 @@ class SphereGridFactors:
     polar_weights: np.ndarray
     azimuth: np.ndarray
     axis_weights: tuple
+    half_polar: np.ndarray
+    half_azimuth: np.ndarray
+    folded_weights: tuple
 
     @property
     def angles(self) -> tuple:
@@ -460,9 +472,19 @@ def sphere_grid_factors(n: int, order: int) -> SphereGridFactors:
     axis_weights = tuple(
         polar_weights * np.sin(polar) ** (n - 2 - i) for i in range(n - 2)
     ) + (w_phi,)
-    for arr in (polar, polar_weights, phi) + axis_weights:
+    half = (order + 1) // 2
+    mirror = np.full(half, 2.0)
+    if order % 2:
+        mirror[-1] = 1.0  # the middle node pi/2 is its own mirror
+    folded_weights = tuple(mirror * w[:half] for w in axis_weights[:-1]) + (
+        2.0 * w_phi[:order],
+    )
+    for arr in (polar, polar_weights, phi) + axis_weights + folded_weights:
         arr.setflags(write=False)
-    return SphereGridFactors(n, order, polar, polar_weights, phi, axis_weights)
+    return SphereGridFactors(
+        n, order, polar, polar_weights, phi, axis_weights,
+        polar[:half], phi[:order], folded_weights,
+    )
 
 
 def unit_sphere_grid(n: int, order: int):
@@ -475,30 +497,11 @@ def unit_sphere_grid(n: int, order: int):
     points are its projections onto the coordinate axes and the weights the
     product of its per-axis weights, so a caller that needs only <k, omega>
     and the weights can take them from the factors without forming the grid.
-    Up to 300 000 points it is kept in a 32-entry LRU cache, up to 4 000 000
-    in a 3-entry one; a larger grid is rebuilt on every call.
+    The grid is not cached: it is built anew, read-only, on every call.
     """
     if n < 2:
         raise ValueError("unit_sphere_grid needs n >= 2")
     n, order = int(n), int(order)
-    if 2 * order ** (n - 1) <= 300_000:
-        return _sphere_grid_cached_small(n, order)
-    if 2 * order ** (n - 1) <= 4_000_000:
-        return _sphere_grid_cached_large(n, order)
-    return _build_sphere_grid(n, order)
-
-
-@lru_cache(maxsize=32)
-def _sphere_grid_cached_small(n: int, order: int):
-    return _build_sphere_grid(n, order)
-
-
-@lru_cache(maxsize=3)
-def _sphere_grid_cached_large(n: int, order: int):
-    return _build_sphere_grid(n, order)
-
-
-def _build_sphere_grid(n: int, order: int):
     grid = sphere_grid_factors(n, order)
     coords = np.empty((2 * order ** (n - 1), n))
     for i, e in enumerate(np.eye(n)):

@@ -129,6 +129,20 @@ class TestOtherCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--cmd", "verify-identity", "--n", "9"],
+            ["--cmd", "verify-identity", "--n", "2"],
+            ["--cmd", "sharpness", "--A", "0"],
+            ["--cmd", "sharpness", "--B", "-1"],
+        ],
+    )
+    def test_out_of_range_argument_exit_2(self, tmp_path, capsys, args):
+        code = main(args + ["--out", str(tmp_path)])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestSuiteDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from nodal_radius import eigenid
 from nodal_radius.specfun import AccuracyError, bessel_j, gamma_fn, gauss_legendre
-from nodal_radius.sphere import unit_sphere_grid
+from nodal_radius.sphere import sphere_grid_factors, unit_sphere_grid
 from nodal_radius.eigenid import (
     EigenMix,
     PlaneWaveEigen,
@@ -203,6 +203,24 @@ def pointwise_shell_sum(phi, x, s, order):
     return float(np.dot(w, phi.eval_many(x + s * pts)))
 
 
+def unfolded_shell_sums(phi, x, radii, order):
+    """The shell sums over the whole grid, one cosine per grid node and
+    radius: ``_shell_sums`` as it was before the fold onto the half axes."""
+    grid = sphere_grid_factors(phi.dim, order)
+    first = grid.angles[0]
+    cos0, sin0, w0 = np.cos(first), np.sin(first), grid.axis_weights[0]
+    w_tail = grid.weights(start=1)
+    out = np.zeros(len(radii))
+    for k, amp, phase in phi.waves:
+        c = float(np.dot(k, x)) + phase
+        tail = grid.projection(k[1:], start=1).ravel()
+        for a in range(first.size):
+            g = sin0[a] * tail + k[0] * cos0[a]
+            for i, s in enumerate(radii):
+                out[i] += amp * w0[a] * float(np.cos(c + s * g) @ w_tail)
+    return out
+
+
 def reference_radial_average(phi, x, s, tol):
     """The order ladder of radial_average, one pointwise shell sum per order."""
     n = phi.dim
@@ -255,16 +273,34 @@ class TestProjectedShells:
                 scale = n * eigenid.ball_volume(n) * eigenid._wave_scale(phi)
                 assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
+    @pytest.mark.parametrize(
+        "n,order", [(n, order) for n in range(2, 9) for order in eigenid._angular_ladder(n)]
+    )
+    def test_fold_matches_unfolded_sums(self, n, order):
+        # every ladder order, odd ones (middle node pi/2 unpaired) included
+        rng = np.random.default_rng(1000 * n + order)
+        points = 2 * order ** (n - 1)
+        n_radii, n_waves = (4, 2) if points <= 2_000_000 else (1, 1)
+        phi = random_eigen(rng, n, float(rng.uniform(0.5, 9.0)), n_waves)
+        x = rng.normal(size=n)
+        radii = np.sort(rng.uniform(0.05, 4.0, size=n_radii))
+        got = eigenid._shell_sums(phi, x, radii, order)
+        ref = unfolded_shell_sums(phi, x, radii, order)
+        scale = n * eigenid.ball_volume(n) * eigenid._wave_scale(phi)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
     def test_shell_sums_split_into_blocks(self, monkeypatch):
-        # blocks smaller than one first-angle row still cover every point
+        # blocks smaller than one radius's folded grid still cover every
+        # radius, at an even order and at an odd one
         rng = np.random.default_rng(511)
         phi = random_eigen(rng, 4, 2.0, 2)
         x = rng.normal(size=4)
         radii = np.linspace(0.2, 2.0, 7)
-        whole = eigenid._shell_sums(phi, x, radii, 12)
+        whole = {order: eigenid._shell_sums(phi, x, radii, order) for order in (12, 17)}
         monkeypatch.setattr(eigenid, "_SHELL_BLOCK", 100)
-        split = eigenid._shell_sums(phi, x, radii, 12)
-        assert np.allclose(split, whole, rtol=0.0, atol=1e-13 * np.max(np.abs(whole)))
+        for order, ref in whole.items():
+            split = eigenid._shell_sums(phi, x, radii, order)
+            assert np.allclose(split, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_radial_average_matches_pointwise_ladder(self, n):
@@ -432,7 +468,65 @@ class TestKirchhoff:
         )
 
 
+def reference_poisson_2d(source, x, t, tol):
+    """(value, last n_theta) of poisson_2d as it was before the projection:
+    the disk points built and the source evaluated once per time node."""
+    parts = eigenid._as_parts(source)
+    x = np.asarray(x, dtype=float)
+    bandwidth = t * math.sqrt(max(p.lam for _, p in parts))
+
+    def inner(radius, n_theta, n_psi):
+        theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        omega = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        rule = gauss_legendre(n_psi, 0.0, 0.5 * math.pi)
+        rho = np.sin(rule.nodes)
+        pts = (x + radius * rho[:, None, None] * omega[None, :, :]).reshape(-1, 2)
+        vals = sum(c * p.eval_many(pts) for c, p in parts).reshape(len(rho), n_theta)
+        return float(np.dot(rule.weights * rho, vals.sum(axis=1))) * (2.0 * np.pi / n_theta)
+
+    def attempt(n_theta, n_psi, q):
+        rule = gauss_legendre(q, 0.0, t)
+        total = 0.0
+        for s, ws in zip(rule.nodes, rule.weights):
+            total += ws * (t - s) * inner(t - s, n_theta, n_psi)
+        return total / (2.0 * math.pi)
+
+    n_theta = max(32, 4 * int(math.ceil(bandwidth)) + 8)
+    prev = None
+    for n_psi, q in ((16, 48), (24, 72), (36, 108)):
+        val = attempt(n_theta, n_psi, q)
+        if prev is not None and abs(val - prev) <= 0.5 * tol * (1.0 + abs(val)):
+            return -val, n_theta
+        prev, last = val, n_theta
+        n_theta = int(1.5 * n_theta)
+    return -prev, last
+
+
 class TestPoisson2d:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_projection_matches_disk_points(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        mix = EigenMix(
+            2, [(float(rng.normal()) or 1.0, random_eigen(rng, 2, lam, 2)) for lam in (1.3, 7.0)]
+        )
+        x = rng.normal(size=2)
+        t = float(rng.uniform(0.2, 2.5))
+        ref, _ = reference_poisson_2d(mix, x, t, tol=1e-9)
+        got = poisson_2d(mix, x, t, tol=1e-9)
+        assert got == pytest.approx(ref, rel=0.0, abs=1e-13 * (1.0 + abs(ref)))
+
+    def test_projection_matches_on_odd_third_rung(self):
+        # bandwidth 6.5 starts at n_theta = 36, so the rungs are 36, 54, 81;
+        # tol 1e-15 climbs to the third rung, which then raises
+        rng = np.random.default_rng(717)
+        phi = random_eigen(rng, 2, 1.0, 3)
+        x = rng.normal(size=2)
+        ref, n_theta = reference_poisson_2d(phi, x, 6.5, tol=1e-15)
+        assert n_theta == 81
+        with pytest.raises(AccuracyError) as err:
+            poisson_2d(phi, x, 6.5, tol=1e-15)
+        assert err.value.estimate == pytest.approx(ref, rel=0.0, abs=1e-13 * (1.0 + abs(ref)))
+
     def test_pure_eigenfunction_closed_form(self):
         # lam=1, t=pi, phi(0)=1: u = cos(pi) - 1 = -2
         phi = plane_wave(2, 1.0)

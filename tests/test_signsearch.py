@@ -131,7 +131,7 @@ class TestTorusDistances:
         rng = np.random.default_rng(40 + dim)
         for _ in range(4):
             f = random_trig_poly(rng, dim, max_shells=4, max_norm=8)
-            sgn, _ = _signs(f.eval_grid(n))
+            sgn = _signs(f.eval_grid(n))
             spacing = (1.0 / n,) * dim
             self.assert_same(
                 _grid_distances(sgn, spacing, periodic=True),
@@ -141,7 +141,7 @@ class TestTorusDistances:
     def test_first_pad_too_small_grows(self, monkeypatch):
         # half-periods of cos 2 pi x: distances reach 64 cells of 256
         n = 256
-        sgn, _ = _signs(cosine_1d(1).eval_grid(n))
+        sgn = _signs(cosine_1d(1).eval_grid(n))
         got, pads = self.pads_used(monkeypatch, sgn, (1.0 / n,))
         self.assert_same(got, full_pad_torus_distances(sgn, (1.0 / n,)))
         assert pads[0] == signsearch._TORUS_PAD
@@ -154,7 +154,7 @@ class TestTorusDistances:
         n = 64
         x = np.arange(n) / n
         values = np.cos(2 * np.pi * x)[:, None] + np.cos(2 * np.pi * x)[None, :] - 1.9
-        sgn, _ = _signs(values)
+        sgn = _signs(values)
         assert (sgn == 1).any() and (sgn == -1).any()
         spacing = (1.0 / n, 1.0 / n)
         got, pads = self.pads_used(monkeypatch, sgn, spacing)
@@ -217,7 +217,7 @@ def reference_sphere_search(f, resolution):
     """Reference: (center, r_lower) of the sphere search with a heapq
     Dijkstra and a per-leader gather of the opposite-sign points."""
     pts = _fibonacci_sphere(resolution**2)
-    sgn, _ = _signs(f.eval_many(pts))
+    sgn = _signs(f.eval_many(pts))
     radius = heap_graph_radius(pts, sgn)
     order = np.argsort(-radius, kind="stable")
     best_r, best_i, best_seed = -1.0, -1, None
@@ -266,7 +266,7 @@ class TestSphereSearch:
             _, graph = _spiral_graph(resolution**2)
             for _ in range(3):
                 f = random_sphere_fn(rng, 3, max_degree=10)
-                sgn, _ = _signs(f.eval_many(pts))
+                sgn = _signs(f.eval_many(pts))
                 assert np.array_equal(
                     _sphere_graph_radius(graph, sgn), heap_graph_radius(pts, sgn)
                 )
@@ -308,6 +308,31 @@ class TestSphereSearch:
             SearchDomain.sphere(4, 64)
 
 
+class TestNonFiniteSamples:
+    """One NaN or inf sample must not turn the grid into all zeros and
+    r_lower = 0, which verify_bound would pass."""
+
+    @pytest.mark.parametrize(
+        "dom,bad",
+        [
+            (SearchDomain.torus(1, 256), np.nan),
+            (SearchDomain.sphere(3, 32), np.inf),
+            (SearchDomain.box(2, (0.0, 0.0), (1.0, 1.0), 32), -np.inf),
+        ],
+        ids=["torus", "sphere", "box"],
+    )
+    def test_non_finite_sample_raises(self, dom, bad):
+        def f(pts):
+            v = np.cos(6.0 * np.pi * pts[:, 0])
+            v[0] = bad
+            return v
+
+        with pytest.raises(ValueError, match="finite"):
+            largest_signfree_ball(f, dom)
+        with pytest.raises(ValueError, match="finite"):
+            verify_bound(f, dom, 1.0)
+
+
 class TestDomainValidation:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
@@ -343,6 +368,67 @@ class TestSharpnessProbe:
         vals = [sharpness_probe(4, b, trials=120, seed=3) for b in range(0, 3)]
         assert vals[0] <= vals[1] + 1e-12
         assert vals[1] <= vals[2] + 1e-12
+
+
+def reference_band_poly_values(A, coeffs, x):
+    """The band polynomial summed one coefficient at a time, each with its
+    own e^{2 pi i (A+j) x}: the probe's evaluation before the table."""
+    vals = np.zeros(x.size)
+    for j, c in enumerate(coeffs):
+        vals += np.real(c * np.exp(2j * np.pi * (A + j) * x))
+    return vals
+
+
+def reference_sharpness_probe(A, B, trials, seed, resolution=2**14):
+    """sharpness_probe with the per-coefficient evaluation above."""
+    gap = signsearch._largest_gap_on_circle
+    rng = np.random.default_rng(seed)
+    x = np.arange(resolution) / resolution
+    best = gap(np.cos(2.0 * np.pi * A * x))
+    for Bp in range(1, B + 1):
+        for _ in range(trials // 2):
+            coeffs = rng.normal(size=Bp + 1) + 1j * rng.normal(size=Bp + 1)
+            best = max(best, gap(reference_band_poly_values(A, coeffs, x)))
+        M = 2 * A + Bp
+        roots = np.array([0.5 + (j - (Bp - 1) / 2.0) / M for j in range(Bp)])
+        psi = 0.0
+        cur = gap(
+            reference_band_poly_values(A, signsearch._structured_coeffs(A, Bp, roots, psi), x)
+        )
+        step0 = 1.0 / (4.0 * M)
+        for it in range(trials // 2):
+            scale = 2.0 ** (-it / 40.0)
+            cand_roots = roots + rng.normal(scale=step0 * scale, size=Bp)
+            cand_psi = psi + rng.normal(scale=0.3 * scale)
+            g = gap(
+                reference_band_poly_values(
+                    A, signsearch._structured_coeffs(A, Bp, cand_roots, cand_psi), x
+                )
+            )
+            if g > cur:
+                cur, roots, psi = g, cand_roots, cand_psi
+        best = max(best, cur)
+    return best
+
+
+class TestSharpnessTable:
+    def test_table_matches_per_coefficient_loop(self):
+        rng = np.random.default_rng(12)
+        x = np.arange(2**14) / 2**14
+        for A, B in ((5, 1), (3, 2), (4, 3)):
+            table = signsearch._band_table(A, B, x)
+            for Bp in range(B + 1):
+                coeffs = rng.normal(size=Bp + 1) + 1j * rng.normal(size=Bp + 1)
+                got = signsearch._band_poly_values(table, coeffs)
+                ref = reference_band_poly_values(A, coeffs, x)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(coeffs))
+
+    @pytest.mark.parametrize("A,B", [(5, 1), (3, 2), (4, 3)])
+    def test_probe_matches_per_coefficient_probe(self, A, B):
+        for seed in (0, 7):
+            assert sharpness_probe(A, B, trials=80, seed=seed) == reference_sharpness_probe(
+                A, B, 80, seed
+            )
 
 
 class TestRandomInstances:
