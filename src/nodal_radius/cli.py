@@ -104,7 +104,7 @@ def _bound_rows(f, dom, named_bounds, seed):
         ok = rep.r_lower <= bound
         all_pass &= ok
         rows.append(_sign_row(rep, name))
-    return rows, all_pass, base
+    return rows, all_pass
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +169,7 @@ def _run_analyze_trig(cfg: RunConfig):
     f = _load_input(cfg, torus.from_dict) or _default_trig()
     res = cfg.resolution if f.dim <= 2 else min(cfg.resolution, 96)
     dom = signsearch.SearchDomain.torus(f.dim, res)
-    rows, ok, base = _bound_rows(
+    rows, ok = _bound_rows(
         f,
         dom,
         [("theorem1", torus.bound_theorem1(f)), ("kozma", torus.bound_kozma(f))],
@@ -192,7 +192,7 @@ def _run_analyze_sphere(cfg: RunConfig):
     f = _load_input(cfg, sphere.from_dict) or _default_sphere()
     res = min(cfg.resolution, 160)
     dom = signsearch.SearchDomain.sphere(3, res)
-    rows, ok, base = _bound_rows(
+    rows, ok = _bound_rows(
         f, dom, [("theorem2", sphere.bound_theorem2(f))], cfg.seed
     )
     if cfg.emit_svg:
@@ -211,7 +211,7 @@ def _run_analyze_mix(cfg: RunConfig):
     dom = signsearch.SearchDomain.box(
         mix.dim, (0.0,) * mix.dim, (L,) * mix.dim, res
     )
-    rows, ok, base = _bound_rows(mix, dom, [("theorem3", bound)], cfg.seed)
+    rows, ok = _bound_rows(mix, dom, [("theorem3", bound)], cfg.seed)
     if cfg.emit_svg and mix.dim == 2:
         axes = np.linspace(0.0, L, min(res, 256))
         mesh = np.meshgrid(axes, axes, indexing="ij")
@@ -293,7 +293,7 @@ def _run_suite(cfg: RunConfig):
         )
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        for rows, ok, _ in pool.map(run_trig, trig_jobs):
+        for rows, ok in pool.map(run_trig, trig_jobs):
             sign_rows.extend(rows)
             all_pass &= ok
 
@@ -301,7 +301,7 @@ def _run_suite(cfg: RunConfig):
     rng = np.random.default_rng(seeds[1])
     for _ in range(max(2, count // 3)):
         f = signsearch.random_sphere_fn(rng, 3, max_degree=10)
-        rows, ok, _ = _bound_rows(
+        rows, ok = _bound_rows(
             f,
             signsearch.SearchDomain.sphere(3, 96),
             [("theorem2", sphere.bound_theorem2(f))],
@@ -321,7 +321,7 @@ def _run_suite(cfg: RunConfig):
         L = 2.0 * bound
         res = 192 if d == 2 else 64
         dom = signsearch.SearchDomain.box(d, (0.0,) * d, (L,) * d, res)
-        rows, ok, _ = _bound_rows(mix, dom, [("theorem3", bound)], cfg.seed)
+        rows, ok = _bound_rows(mix, dom, [("theorem3", bound)], cfg.seed)
         sign_rows.extend(rows)
         all_pass &= ok
 

@@ -182,11 +182,6 @@ class EigenMix:
         return out
 
 
-def eval_eigen(phi: PlaneWaveEigen, x) -> float:
-    """Pointwise value of a plane-wave eigenfunction."""
-    return phi.eval(x)
-
-
 # ----------------------------------------------------------------------
 # The universal radial profile Q_n
 # ----------------------------------------------------------------------

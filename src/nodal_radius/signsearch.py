@@ -182,14 +182,13 @@ def _grid_distances(sgn: np.ndarray, spacing, periodic: bool):
     return out
 
 
-def _best_center(sgn: np.ndarray, dists) -> tuple:
-    """(flat index, radius) of the deterministic argmax over grid points."""
+def _best_center(sgn: np.ndarray, dists) -> int:
+    """Flat index of the deterministic argmax of the radius over grid points."""
     radius = np.zeros(sgn.shape)
     for s in (1, -1):
         if dists[s] is not None:
             radius[sgn == s] = dists[s][sgn == s]
-    flat = int(np.argmax(radius))  # first occurrence: lowest-index tie-break
-    return flat, float(radius.flat[flat])
+    return int(np.argmax(radius))  # first occurrence: lowest-index tie-break
 
 
 def _bisect_crossing(eval_line, lo: float, hi: float, steps: int = _REFINE_STEPS):
@@ -262,7 +261,7 @@ def largest_signfree_ball(f, dom: SearchDomain, seed: Optional[int] = None) -> S
             notes="constant sign on the whole grid",
         )
     dists = _grid_distances(sgn, spacing, periodic)
-    flat, grid_radius = _best_center(sgn, dists)
+    flat = _best_center(sgn, dists)
     idx = np.unravel_index(flat, values.shape)
     center = np.array([axes_coords[i][idx[i]] for i in range(d)])
     center_sign = int(sgn[idx])

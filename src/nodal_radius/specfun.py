@@ -231,6 +231,13 @@ def bessel_first_zero(nu: float, tol: float = 1e-12) -> float:
 def gegenbauer(m: int, lam: float, t):
     """C_m^(lam)(t) by the three-term recurrence, vectorized over t.
 
+    A scalar t (a Python or numpy float, or a 0-d array) runs the same
+    recurrence on Python floats, after the same range check and clip as an
+    array. Its value is bit-identical to that of the one-element array
+    ``[t]``, at a few microseconds a call instead of one numpy dispatch per
+    step; root scans, bisections and adaptive quadrature nodes make one call
+    per point.
+
     Parameters
     ----------
     m : int >= 0
@@ -246,41 +253,41 @@ def gegenbauer(m: int, lam: float, t):
     if not lam > -0.5:
         raise ValueError(f"gegenbauer requires lam > -1/2, got {lam!r}")
     arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + 1e-14):
-        raise ValueError("gegenbauer evaluated outside [-1, 1]")
     scalar = arr.ndim == 0
-    arr = np.clip(np.atleast_1d(arr), -1.0, 1.0)
-    if m == 0:
-        out = np.ones_like(arr)
+    if scalar:
+        x = float(arr)
+        if abs(x) > 1.0 + 1e-14:
+            raise ValueError("gegenbauer evaluated outside [-1, 1]")
+        x = min(max(x, -1.0), 1.0)
     else:
-        c_prev = np.ones_like(arr)
-        c_cur = 2.0 * lam * arr
-        for j in range(2, m + 1):
-            c_cur, c_prev = (
-                (2.0 * (j + lam - 1.0) * arr * c_cur - (j + 2.0 * lam - 2.0) * c_prev) / j,
-                c_cur,
-            )
-        out = c_cur
-    return float(out[0]) if scalar else out
+        if np.any(np.abs(arr) > 1.0 + 1e-14):
+            raise ValueError("gegenbauer evaluated outside [-1, 1]")
+        x = np.clip(arr, -1.0, 1.0)
+    if m == 0:
+        return 1.0 if scalar else np.ones_like(x)
+    c_prev = 1.0
+    c_cur = 2.0 * lam * x
+    for j in range(2, m + 1):
+        c_cur, c_prev = (
+            (2.0 * (j + lam - 1.0) * x * c_cur - (j + 2.0 * lam - 2.0) * c_prev) / j,
+            c_cur,
+        )
+    return c_cur
 
 
-def gegenbauer_max_root(m: int, lam: float, tol: float = 1e-12) -> float:
-    """Largest root x_1 of C_m^(lam) in (-1, 1).
+def gegenbauer_root_below(m: int, lam: float, start: float, tol: float) -> float:
+    """Largest root of C_m^(lam) in [-1, start], or -1.0 if it has none there.
 
-    Scans downward from 1 with step 1/(m+lam)^2 -- smaller than the minimal
-    gap between the top roots, so the first sign change met is x_1 -- then
-    bisects. Satisfies the Driver-Jordaan bound x_1 > 1 - (lam+3)^2/m^2
-    whenever m > lam + 3.
+    Scans down from ``start`` (clamped at -1) with step 1/(m+lam)^2 --
+    smaller than the minimal gap between the top roots, so the first sign
+    change met brackets the largest root below ``start`` -- then bisects the
+    bracket until it is narrower than ``tol`` and returns its midpoint. A
+    scan point where C_m is exactly 0 is returned as is. To step past a
+    known root x_k, start at x_k - 1/(m+lam)^2, so that the scan does not
+    bracket x_k again.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"gegenbauer_max_root requires integer m >= 1, got {m!r}")
-    lam = float(lam)
-    if not lam > 0.0:
-        raise ValueError(f"gegenbauer_max_root requires lam > 0, got {lam!r}")
-    if m == 1:
-        return 0.0  # C_1 = 2*lam*t
     step = 1.0 / (m + lam) ** 2
-    t = 1.0
+    t = max(start, -1.0)
     f = gegenbauer(m, lam, t)
     while t > -1.0:
         t2 = max(t - step, -1.0)
@@ -288,12 +295,11 @@ def gegenbauer_max_root(m: int, lam: float, tol: float = 1e-12) -> float:
         if f2 == 0.0:
             return t2
         if f * f2 < 0.0:
-            lo, hi = t2, t
             break
         t, f = t2, f2
     else:
-        raise ArithmeticError(f"no root of C_{m}^({lam}) found in (-1, 1)")
-    f_lo = gegenbauer(m, lam, lo)
+        return -1.0
+    lo, hi, f_lo = t2, t, f2
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         fm = gegenbauer(m, lam, mid)
@@ -306,6 +312,22 @@ def gegenbauer_max_root(m: int, lam: float, tol: float = 1e-12) -> float:
         if hi - lo < tol:
             break
     return 0.5 * (lo + hi)
+
+
+def gegenbauer_max_root(m: int, lam: float, tol: float = 1e-12) -> float:
+    """Largest root x_1 of C_m^(lam) in (-1, 1).
+
+    ``gegenbauer_root_below`` from t = 1 to ``tol``. Satisfies the
+    Driver-Jordaan bound x_1 > 1 - (lam+3)^2/m^2 whenever m > lam + 3.
+    """
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"gegenbauer_max_root requires integer m >= 1, got {m!r}")
+    lam = float(lam)
+    if not lam > 0.0:
+        raise ValueError(f"gegenbauer_max_root requires lam > 0, got {lam!r}")
+    if m == 1:
+        return 0.0  # C_1 = 2*lam*t
+    return gegenbauer_root_below(m, lam, 1.0, tol)
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .specfun import (
     gauss_legendre,
     gegenbauer,
     gegenbauer_max_root,
+    gegenbauer_root_below,
     quad_adaptive,
     sphere_surface,
 )
@@ -251,40 +252,20 @@ def convolve(f: SphereFn, g: ZonalKernel) -> SphereFn:
     return SphereFn(f.dim, new_terms)
 
 
-def _next_root_below(m: int, lam: float, x1: float) -> float:
-    """Second-largest root of C_m^lam, scanned down from x1."""
-    step = 1.0 / (m + lam) ** 2
-    t = x1 - step
-    f = gegenbauer(m, lam, t)
-    while t > -1.0:
-        t2 = t - step
-        f2 = gegenbauer(m, lam, t2)
-        if f * f2 < 0.0 or f2 == 0.0:
-            lo, hi = t2, t
-            f_lo = f2
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = gegenbauer(m, lam, mid)
-                if fm == 0.0:
-                    return mid
-                if fm * f_lo > 0.0:
-                    lo, f_lo = mid, fm
-                else:
-                    hi = mid
-                if hi - lo < 1e-13:
-                    break
-            return 0.5 * (lo + hi)
-        t, f = t2, f2
-    return -1.0  # m = 1: no second root
-
-
 def annihilator_bump(m: int, d: int) -> ZonalKernel:
     """Nonnegative bump kernel whose degree-m multiplier vanishes.
 
     The bump sits inside (1 - (d+4)^2/(4 m^2), 1) -- possible because the
     largest Gegenbauer root x_1 obeys the Driver-Jordaan bound -- and its
-    center slides across x_1 by bisection until the signed weighted moment
-    changes sign and is driven to zero. Requires m > (d+4)/2.
+    center moves across x_1 by Illinois false position on the bracket
+    [x_1 - h, x_1 + h] until the signed weighted moment m_c is driven to
+    zero: |m_c| <= 1e-13 * scale, where scale is the moment of |C_m| (the
+    ``absval`` rule of ``_weighted_moment``), at most 200 steps. Each step
+    takes both moments from one ``gegenbauer`` call over the nodes of the
+    two rules. A false-position point that rounds onto an end of the
+    bracket is replaced by the midpoint, and the search also stops once lo
+    and hi are adjacent floats: there the moment's rounding floor can lie
+    above the stop test (as for m = 45, d = 3). Requires m > (d+4)/2.
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"degree must be an integer >= 1, got {m!r}")
@@ -296,40 +277,55 @@ def annihilator_bump(m: int, d: int) -> ZonalKernel:
         )
     lam = (d - 2.0) / 2.0
     x1 = gegenbauer_max_root(m, lam)
-    x2 = _next_root_below(m, lam, x1)
+    x2 = gegenbauer_root_below(m, lam, x1 - 1.0 / (m + lam) ** 2, 1e-13)
     dj = 1.0 - (d + 4.0) ** 2 / (4.0 * m * m)
     h = min(0.25 * (1.0 - dj), 0.5 * (x1 - dj), 0.5 * (1.0 - x1), 0.4 * (x1 - x2))
     if h <= 0.0:
         raise ConstructionError(
             f"degenerate bump width for (m, d) = ({m}, {d}); root isolation failed"
         )
+    n_signed, n_scale = max(60, m + 20), max(80, m + 30)
 
-    def signed_moment(center):
-        kern = ZonalKernel.bump(center, h)
-        rule = gauss_legendre(max(60, m + 20), center - h, center + h)
-        vals = kern(rule.nodes) * gegenbauer(m, lam, rule.nodes)
-        vals *= (1.0 - rule.nodes**2) ** ((d - 3.0) / 2.0)
-        return float(np.dot(rule.weights, vals))
+    def moments(center):
+        """(signed moment, scale) of the bump at ``center``."""
+        signed_rule = gauss_legendre(n_signed, center - h, center + h)
+        scale_rule = gauss_legendre(n_scale, center - h, center + h)
+        t = np.concatenate([signed_rule.nodes, scale_rule.nodes])
+        vals = ZonalKernel.bump(center, h)(t) * gegenbauer(m, lam, t)
+        vals *= (1.0 - t * t) ** ((d - 3.0) / 2.0)
+        return (
+            float(np.dot(signed_rule.weights, vals[:n_signed])),
+            float(np.dot(scale_rule.weights, np.abs(vals[n_signed:]))),
+        )
 
     lo, hi = x1 - h, x1 + h
-    m_lo, m_hi = signed_moment(lo), signed_moment(hi)
+    (m_lo, _), (m_hi, _) = moments(lo), moments(hi)
     if not m_lo * m_hi < 0.0:
         raise ConstructionError(
             f"no sign change of the weighted moment across x_1 for (m, d) = ({m}, {d})"
         )
-    center = 0.5 * (lo + hi)
+    side = 0  # which end moved last: -1 lo, +1 hi
     for _ in range(200):
-        center = 0.5 * (lo + hi)
-        m_c = signed_moment(center)
-        kern = ZonalKernel.bump(center, h)
-        if abs(m_c) <= 1e-13 * _weighted_moment(kern, m, d, absval=True):
+        center = (lo * m_hi - hi * m_lo) / (m_hi - m_lo)
+        if not lo < center < hi:
+            center = 0.5 * (lo + hi)  # rounded onto an end: bisect instead
+        m_c, scale = moments(center)
+        if abs(m_c) <= 1e-13 * scale:
             break
         if m_c * m_hi < 0.0:
             lo, m_lo = center, m_c
+            if side == -1:
+                m_hi *= 0.5  # Illinois: halve the stale end's value
+            side = -1
         else:
             hi, m_hi = center, m_c
+            if side == 1:
+                m_lo *= 0.5
+            side = 1
+        if math.nextafter(lo, hi) == hi:
+            break  # adjacent floats: no center left between them
     kern = ZonalKernel.bump(center, h)
-    rel = abs(_weighted_moment(kern, m, d)) / _weighted_moment(kern, m, d, absval=True)
+    rel = abs(_weighted_moment(kern, m, d)) / scale  # the last step's, at center
     if rel > 1e-11:
         raise ConstructionError(
             f"moment annihilation stalled at relative size {rel:.2e} for (m, d) = ({m}, {d})"
@@ -563,17 +559,25 @@ def convolve_at_point_quadrature(
         kern = g(np.cos(rule.nodes)) * np.sin(rule.nodes) * rule.weights
         return float(np.dot(kern, vals.sum(axis=1)) * (2.0 * np.pi / n_phi))
     # general d: restrict the full product grid to the support band in the
-    # leading polar angle, rotated so that x is the pole
+    # leading polar angle, rotated so that x is the pole. A ring point is
+    # cos(theta) x + sin(theta) u^T omega' for omega' on S^(d-2), so each
+    # term needs only <x, pole> and <omega', u pole>, the latter from the
+    # grid's factors
     rule = gauss_legendre(polar_order, th_lo, th_hi)
-    sub_pts, sub_w = unit_sphere_grid(d - 1, max(polar_order // 2, 12))
+    sub = sphere_grid_factors(d - 1, max(polar_order // 2, 12))
+    sub_w = sub.weights()
     u = _frame_at(x)  # (d-1, d)
+    terms = [
+        (t, float(np.dot(x, t.pole)), sub.projection(u @ t.pole).ravel())
+        for t in f.terms
+    ]
     total = 0.0
     for theta, w in zip(rule.nodes, rule.weights):
-        ring = math.cos(theta) * x + math.sin(theta) * (sub_pts @ u)
-        vals = f.eval_many(ring)
-        total += w * g(math.cos(theta)) * math.sin(theta) ** (d - 2) * float(
-            np.dot(sub_w, vals)
-        )
+        c, s = math.cos(theta), math.sin(theta)
+        vals = np.zeros(sub_w.size)
+        for t, along, across in terms:
+            vals += t.weight * gegenbauer(t.degree, f.lam, c * along + s * across)
+        total += w * g(c) * s ** (d - 2) * float(np.dot(sub_w, vals))
     return total
 
 

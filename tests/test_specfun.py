@@ -22,6 +22,7 @@ from nodal_radius.specfun import (
     gauss_legendre,
     gegenbauer,
     gegenbauer_max_root,
+    gegenbauer_root_below,
     quad_adaptive,
     sphere_surface,
 )
@@ -210,6 +211,60 @@ class TestGegenbauer:
             vals = gegenbauer(60, lam, t)
             assert np.all(np.isfinite(vals))
             assert np.max(np.abs(vals)) < 1e300
+
+
+class TestGegenbauerScalarPath:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.integers(0, 80),
+        lam=st.floats(-0.5, 6.0, exclude_min=True),
+        x=st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0),
+    )
+    def test_bit_identical_to_one_element_array(self, m, lam, x):
+        scalar = gegenbauer(m, lam, x)
+        assert isinstance(scalar, float)
+        assert scalar == gegenbauer(m, lam, np.array([x]))[0]
+        assert gegenbauer(m, lam, np.float64(x)) == scalar
+        assert gegenbauer(m, lam, np.array(x)) == scalar
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(0, 80),
+        lam=st.floats(-0.5, 6.0, exclude_min=True),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_both_paths_reject_just_outside(self, m, lam, sign):
+        x = sign * math.nextafter(1.0 + 1e-14, 2.0)
+        with pytest.raises(ValueError):
+            gegenbauer(m, lam, x)
+        with pytest.raises(ValueError):
+            gegenbauer(m, lam, np.array([x]))
+
+    def test_clip_inside_the_tolerance(self):
+        x = 1.0 + 1e-14
+        assert gegenbauer(9, 1.5, x) == gegenbauer(9, 1.5, 1.0)
+        assert gegenbauer(9, 1.5, -x) == gegenbauer(9, 1.5, np.array([-1.0]))[0]
+
+
+class TestGegenbauerRootBelow:
+    def test_no_root_returns_minus_one(self):
+        # C_1 = 2 lam t: nothing below its root 0
+        assert gegenbauer_root_below(1, 0.5, 0.0 - 1.0 / 1.5**2, 1e-13) == -1.0
+        assert gegenbauer_root_below(1, 0.5, -1.0, 1e-13) == -1.0
+
+    def test_walks_down_the_roots(self):
+        # C_4^1 = U_4 has roots cos(k pi / 5), k = 1..4
+        m, lam = 4, 1.0
+        x = 1.0
+        for k in range(1, 5):
+            x = gegenbauer_root_below(m, lam, x, 1e-13)
+            assert x == pytest.approx(math.cos(k * math.pi / 5.0), abs=1e-12)
+            x -= 1.0 / (m + lam) ** 2
+        assert gegenbauer_root_below(m, lam, x, 1e-13) == -1.0
+
+    def test_max_root_is_the_scan_from_one(self):
+        for m, lam in [(2, 1.0), (7, 0.5), (30, 2.0)]:
+            assert gegenbauer_max_root(m, lam) == gegenbauer_root_below(m, lam, 1.0, 1e-12)
 
 
 class TestGegenbauerMaxRoot:

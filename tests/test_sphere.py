@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from nodal_radius import sphere
-from nodal_radius.specfun import bessel_first_zero, gegenbauer, sphere_surface
+from nodal_radius.specfun import (
+    bessel_first_zero,
+    gauss_legendre,
+    gegenbauer,
+    gegenbauer_max_root,
+    gegenbauer_root_below,
+    sphere_surface,
+)
 from nodal_radius.sphere import (
     ConstructionError,
     SphereFn,
@@ -36,6 +43,118 @@ def zonal(dim, degree, pole, weight=1.0):
 def random_unit(rng, d):
     v = rng.normal(size=d)
     return v / np.linalg.norm(v)
+
+
+# The annihilator's (m, d) grid: d = 3..6 with m from d + 5 to 50 in steps
+# of 5, plus (40, 10).
+ANNIHILATOR_GRID = [(m, d) for d in range(3, 7) for m in range(d + 5, 51, 5)] + [(40, 10)]
+
+
+def _max_root_scan(m, lam, tol=1e-12):
+    """Copy of the earlier gegenbauer_max_root: scan down from 1, bisect."""
+    if m == 1:
+        return 0.0
+    step = 1.0 / (m + lam) ** 2
+    t = 1.0
+    f = gegenbauer(m, lam, t)
+    while t > -1.0:
+        t2 = max(t - step, -1.0)
+        f2 = gegenbauer(m, lam, t2)
+        if f2 == 0.0:
+            return t2
+        if f * f2 < 0.0:
+            lo, hi = t2, t
+            break
+        t, f = t2, f2
+    else:
+        raise ArithmeticError("no root")
+    f_lo = gegenbauer(m, lam, lo)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        fm = gegenbauer(m, lam, mid)
+        if fm == 0.0:
+            return mid
+        if fm * f_lo > 0.0:
+            lo, f_lo = mid, fm
+        else:
+            hi = mid
+        if hi - lo < tol:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _next_root_scan(m, lam, x1):
+    """Copy of the earlier sphere._next_root_below (unclamped scan)."""
+    step = 1.0 / (m + lam) ** 2
+    t = x1 - step
+    f = gegenbauer(m, lam, t)
+    while t > -1.0:
+        t2 = t - step
+        f2 = gegenbauer(m, lam, t2)
+        if f * f2 < 0.0 or f2 == 0.0:
+            lo, hi = t2, t
+            f_lo = f2
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                fm = gegenbauer(m, lam, mid)
+                if fm == 0.0:
+                    return mid
+                if fm * f_lo > 0.0:
+                    lo, f_lo = mid, fm
+                else:
+                    hi = mid
+                if hi - lo < 1e-13:
+                    break
+            return 0.5 * (lo + hi)
+        t, f = t2, f2
+    return -1.0
+
+
+def _bisection_annihilator(m, d):
+    """(center, half_width) of the earlier annihilator: bisection on the center."""
+    lam = (d - 2.0) / 2.0
+    x1 = _max_root_scan(m, lam)
+    x2 = _next_root_scan(m, lam, x1)
+    dj = 1.0 - (d + 4.0) ** 2 / (4.0 * m * m)
+    h = min(0.25 * (1.0 - dj), 0.5 * (x1 - dj), 0.5 * (1.0 - x1), 0.4 * (x1 - x2))
+
+    def signed_moment(center):
+        kern = ZonalKernel.bump(center, h)
+        rule = gauss_legendre(max(60, m + 20), center - h, center + h)
+        vals = kern(rule.nodes) * gegenbauer(m, lam, rule.nodes)
+        vals *= (1.0 - rule.nodes**2) ** ((d - 3.0) / 2.0)
+        return float(np.dot(rule.weights, vals))
+
+    lo, hi = x1 - h, x1 + h
+    m_hi = signed_moment(hi)
+    for _ in range(200):
+        center = 0.5 * (lo + hi)
+        m_c = signed_moment(center)
+        kern = ZonalKernel.bump(center, h)
+        if abs(m_c) <= 1e-13 * sphere._weighted_moment(kern, m, d, absval=True):
+            break
+        if m_c * m_hi < 0.0:
+            lo = center
+        else:
+            hi, m_hi = center, m_c
+    return center, h
+
+
+def _convolve_by_grid(f, g, x, polar_order):
+    """Copy of the earlier d > 3 branch of convolve_at_point_quadrature."""
+    d = f.dim
+    a, b = g.support
+    rule = gauss_legendre(polar_order, math.acos(min(1.0, b)), math.acos(max(-1.0, a)))
+    sub_pts, sub_w = unit_sphere_grid(d - 1, max(polar_order // 2, 12))
+    u = sphere._frame_at(x)
+    total = 0.0
+    for theta, w in zip(rule.nodes, rule.weights):
+        ring = math.cos(theta) * x + math.sin(theta) * (sub_pts @ u)
+        vals = f.eval_many(ring)
+        total += w * g(math.cos(theta)) * math.sin(theta) ** (d - 2) * float(
+            np.dot(sub_w, vals)
+        )
+    return total
 
 
 def cap_samples(rng, center, rho, n):
@@ -150,6 +269,23 @@ class TestFunkHecke:
             direct = convolve_at_point_quadrature(f, g, x, polar_order=48)
             assert abs(direct - lam_k * f.eval(x)) <= 1e-6 * scale
 
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_grid_factor_branch_matches_grid_points(self, d):
+        rng = np.random.default_rng(40 + d)
+        f = SphereFn(
+            d,
+            [
+                ZonalTerm(degree=k, pole=random_unit(rng, d), weight=float(rng.normal()))
+                for k in (2, 3, 5)
+            ],
+        )
+        g = ZonalKernel.bump(0.3, 0.2)
+        for _ in range(3):
+            x = random_unit(rng, d)
+            got = convolve_at_point_quadrature(f, g, x, polar_order=24)
+            want = _convolve_by_grid(f, g, x, polar_order=24)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_multiplier_linearity_in_kernel(self):
         g = ZonalKernel.bump(0.2, 0.15)
         g3 = ZonalKernel.raw(*g.support, lambda t: 3.0 * g(t))
@@ -253,6 +389,46 @@ class TestAnnihilatorBump:
     def test_precondition(self):
         with pytest.raises(ValueError):
             annihilator_bump(3, 3)  # needs m > (d+4)/2 = 3.5
+
+    @pytest.mark.parametrize("m,d", ANNIHILATOR_GRID)
+    def test_roots_match_the_earlier_scans(self, m, d):
+        lam = (d - 2.0) / 2.0
+        x1 = gegenbauer_max_root(m, lam)
+        assert x1 == _max_root_scan(m, lam)
+        x2 = gegenbauer_root_below(m, lam, x1 - 1.0 / (m + lam) ** 2, 1e-13)
+        assert x2 == _next_root_scan(m, lam, x1)
+
+    def test_no_second_root_returns_minus_one(self):
+        # the earlier unclamped scan raised ValueError here
+        with pytest.raises(ValueError):
+            _next_root_scan(1, 0.5, 0.0)
+        assert gegenbauer_root_below(1, 0.5, 0.0 - 1.0 / 1.5**2, 1e-13) == -1.0
+
+    @pytest.mark.parametrize("m,d", ANNIHILATOR_GRID + [(25, 3), (45, 3)])
+    def test_false_position_takes_few_steps(self, m, d, monkeypatch):
+        # one bump per moment evaluation, plus the returned kernel. At (25, 3)
+        # and (45, 3) false position alone stalls on a bracket one or two
+        # ulps wide, above the stop test; the midpoint guard and the
+        # adjacent-floats exit keep them off the 200-step cap
+        bumps = []
+        bump = ZonalKernel.bump.__func__
+
+        def counted(cls, center, half_width):
+            bumps.append(center)
+            return bump(cls, center, half_width)
+
+        monkeypatch.setattr(ZonalKernel, "bump", classmethod(counted))
+        annihilator_bump(m, d)
+        assert len(bumps) <= 20
+
+    @pytest.mark.parametrize("m,d", ANNIHILATOR_GRID)
+    def test_false_position_matches_bisection(self, m, d):
+        g = annihilator_bump(m, d)
+        center, h = _bisection_annihilator(m, d)
+        assert g.half_width == h
+        assert abs(g.center - center) <= 1e-12 * h
+        num = abs(sphere._weighted_moment(g, m, d))
+        assert num <= 1e-11 * sphere._weighted_moment(g, m, d, absval=True)
 
 
 class TestBoundTheorem2:
