@@ -7,8 +7,7 @@ field); 3 a quadrature could not reach its tolerance (the failing cases are
 listed).
 
 The CSV report starts with a timestamp comment line; everything below it is
-byte-deterministic for a fixed seed. NODAL_RADIUS_THREADS caps the number
-of worker threads used by the suite command.
+byte-deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -16,10 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -75,7 +72,6 @@ def _fmt(v) -> str:
 
 def _sign_row(report, bound_name: str) -> list:
     center = list(report.center) + [None] * (3 - len(report.center))
-    passed = report.bound is None or report.r_lower <= report.bound
     return [
         report.seed,
         report.domain,
@@ -88,7 +84,7 @@ def _sign_row(report, bound_name: str) -> list:
         report.r_upper,
         report.bound,
         report.ratio,
-        passed,
+        report.passed,
         bound_name,
     ]
 
@@ -96,15 +92,18 @@ def _sign_row(report, bound_name: str) -> list:
 def _bound_rows(f, dom, named_bounds, seed):
     """One measurement, one CSV row per bound."""
     base = signsearch.largest_signfree_ball(f, dom, seed=seed)
-    rows = []
-    all_pass = True
-    for name, bound in named_bounds:
-        rep = signsearch.SignBallReport(**{**base.__dict__})
-        rep.with_bound(bound)
-        ok = rep.r_lower <= bound
-        all_pass &= ok
-        rows.append(_sign_row(rep, name))
-    return rows, all_pass
+    reports = [(base.with_bound(bound), name) for name, bound in named_bounds]
+    rows = [_sign_row(rep, name) for rep, name in reports]
+    return rows, all(rep.passed for rep, _ in reports)
+
+
+def _probe_row(A: int, B: int, best: float) -> list:
+    """[A, B, best, ceiling, floor, pass] of a sharpness probe: the best
+    sign-free interval passes if it exceeds the ceiling (B+1)/(2A+B) by at
+    most 2^-12 and reaches the floor, half the ceiling."""
+    ceiling = (B + 1.0) / (2.0 * A + B)
+    floor = 0.5 * ceiling
+    return [A, B, best, ceiling, floor, best <= ceiling + 2.0**-12 and best >= floor]
 
 
 # ----------------------------------------------------------------------
@@ -251,20 +250,8 @@ def _run_sharpness(cfg: RunConfig):
     A = int(cfg.extras.get("A", 5))
     B = int(cfg.extras.get("B", 1))
     trials = int(cfg.extras.get("trials", 300))
-    best = signsearch.sharpness_probe(A, B, trials=trials, seed=cfg.seed)
-    ceiling = (B + 1.0) / (2.0 * A + B)
-    floor = 0.5 * ceiling
-    ok = best <= ceiling + 2.0**-12 and best >= floor
-    rows = [[A, B, best, ceiling, floor, ok]]
-    return [("sharpness", PROBE_HEADER, rows)], ok, []
-
-
-def _worker_count() -> int:
-    env = os.environ.get("NODAL_RADIUS_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+    row = _probe_row(A, B, signsearch.sharpness_probe(A, B, trials=trials, seed=cfg.seed))
+    return [("sharpness", PROBE_HEADER, [row])], row[-1], []
 
 
 def _run_suite(cfg: RunConfig):
@@ -276,26 +263,17 @@ def _run_suite(cfg: RunConfig):
 
     # torus stress: both bounds per instance
     rng = np.random.default_rng(seeds[0])
-    trig_jobs = []
-    for i in range(count):
+    for _ in range(count):
         d = int(rng.integers(1, 4))
         f = signsearch.random_trig_poly(rng, d, max_shells=4, max_norm=10)
-        res = 256 if d <= 2 else 64
-        trig_jobs.append((f, signsearch.SearchDomain.torus(d, res)))
-
-    def run_trig(job):
-        f, dom = job
-        return _bound_rows(
+        rows, ok = _bound_rows(
             f,
-            dom,
+            signsearch.SearchDomain.torus(d, 256 if d <= 2 else 64),
             [("theorem1", torus.bound_theorem1(f)), ("kozma", torus.bound_kozma(f))],
             cfg.seed,
         )
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        for rows, ok in pool.map(run_trig, trig_jobs):
-            sign_rows.extend(rows)
-            all_pass &= ok
+        sign_rows.extend(rows)
+        all_pass &= ok
 
     # sphere stress
     rng = np.random.default_rng(seeds[1])
@@ -339,11 +317,9 @@ def _run_suite(cfg: RunConfig):
     # sharpness triples
     probe_rows = []
     for A, B in ((5, 0), (5, 1), (3, 2)):
-        best = signsearch.sharpness_probe(A, B, trials=200, seed=cfg.seed)
-        ceiling = (B + 1.0) / (2.0 * A + B)
-        ok = best <= ceiling + 2.0**-12 and best >= 0.5 * ceiling
-        probe_rows.append([A, B, best, ceiling, 0.5 * ceiling, ok])
-        all_pass &= ok
+        row = _probe_row(A, B, signsearch.sharpness_probe(A, B, trials=200, seed=cfg.seed))
+        probe_rows.append(row)
+        all_pass &= row[-1]
 
     sections = [
         ("signsearch", SIGN_HEADER, sign_rows),
@@ -382,7 +358,6 @@ def _native(v):
 
 def _write_reports(cfg: RunConfig, sections, passed: bool, failures):
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     sections = [(name, header, _native(rows)) for name, header, rows in sections]
     lines = [f"# generated: {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
     for name, header, rows in sections:
@@ -494,8 +469,6 @@ def run(cfg: RunConfig) -> int:
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     try:
         sections, passed, failures = handler(cfg)
-    except ParseFailure:
-        raise
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return 3

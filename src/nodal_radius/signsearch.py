@@ -1,10 +1,18 @@
 """Empirical measurement of the largest sign-free ball of a function.
 
-A function is sampled on a grid adapted to its domain (wrap-around torus
-grid, equal-area spiral on the 2-sphere, plain box grid); every grid point
-gets the exact distance to the nearest opposite-sign or near-zero sample,
-the maximizing center is refined by bisection toward its nearest sign
-change, and the result is compared against a theoretical radius bound.
+All three domains run one pipeline, ``largest_signfree_ball``:
+
+- sampler: ``_grid_sample`` (wrap-around torus grid, plain box grid) or
+  ``_sphere_sample`` (equal-area spiral on the 2-sphere) evaluates the
+  function and supplies the grid diagonal and the domain's search step;
+- signs: ``_signs`` classifies every sample as +1, -1 or near zero;
+- outcomes: constant sign and all-zero grids are reported directly;
+- search: every sample gets the exact distance to the nearest sample of
+  another sign, and the maximizing center is refined by bisection toward
+  its nearest sign change.
+
+Every report is built in one place, and ``verify_bound`` compares it with
+a theoretical radius bound.
 
 Distances cost in proportion to the grid and the answer. The torus EDT
 wrap-pads each axis only as far as the largest distance reaches (see
@@ -23,7 +31,7 @@ records the seed that produced it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -109,9 +117,13 @@ class SignBallReport:
     notes: str = ""
 
     def with_bound(self, bound: float) -> "SignBallReport":
-        self.bound = float(bound)
-        self.ratio = self.r_lower / float(bound)
-        return self
+        """A copy of the report compared with ``bound``."""
+        return replace(self, bound=float(bound), ratio=self.r_lower / float(bound))
+
+    @property
+    def passed(self) -> bool:
+        """The measured radius does not exceed the bound (no bound: True)."""
+        return self.bound is None or bool(self.r_lower <= self.bound)
 
 
 def _evaluate(f, pts: np.ndarray) -> np.ndarray:
@@ -138,15 +150,12 @@ def _signs(values: np.ndarray) -> np.ndarray:
     return np.where(values > thresh, 1, np.where(values < -thresh, -1, 0))
 
 
-def _torus_wrap_delta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (b - a + 0.5) % 1.0 - 0.5
+def _grid_distances(sgn: np.ndarray, spacing, periodic: bool) -> np.ndarray:
+    """Per cell of sign +-1, the exact Euclidean distance to the nearest cell
+    of another sign (0 on zeros).
 
-
-def _grid_distances(sgn: np.ndarray, spacing, periodic: bool):
-    """Exact Euclidean distance from every cell to the nearest cell of the
-    opposite sign (or a near-zero cell), per sign.
-
-    On the torus each axis is wrap-padded by a width p that starts at
+    A sign with no cells, or with no cells of another sign, is skipped. On
+    the torus each axis is wrap-padded by a width p that starts at
     ``_TORUS_PAD`` cells (capped at n // 2, the largest nearest-image offset
     on an axis of n cells) and is sized to the answer. Every padded cell is
     an image of a real cell, so a padded distance is never below the true
@@ -157,38 +166,27 @@ def _grid_distances(sgn: np.ndarray, spacing, periodic: bool):
     which bounds every true distance. The second sign starts from the first
     sign's final pad: the two largest radii are mostly alike.
     """
-    out = {}
+    radius = np.zeros(sgn.shape)
     caps = [n // 2 for n in sgn.shape]
     pad = [min(_TORUS_PAD, c) for c in caps]
     for s in (1, -1):
-        seeds = sgn != s  # opposite sign or zero
-        if not seeds.any():
-            out[s] = None
+        mine = sgn == s
+        if not mine.any() or mine.all():
             continue
         if not periodic:
-            out[s] = distance_transform_edt(~seeds, sampling=spacing)
-            continue
-        while True:
-            padded = np.pad(
-                ~seeds, tuple((p, p) for p in pad), mode="wrap"
-            )  # True where NOT seed
-            dist = distance_transform_edt(padded, sampling=spacing)
-            dist = dist[tuple(slice(p, p + n) for p, n in zip(pad, sgn.shape))]
-            top = float(dist.max())
-            if all(p == c or top <= p * h for p, c, h in zip(pad, caps, spacing)):
-                break
-            pad = [min(math.ceil(top / h) + 1, c) for h, c in zip(spacing, caps)]
-        out[s] = dist
-    return out
-
-
-def _best_center(sgn: np.ndarray, dists) -> int:
-    """Flat index of the deterministic argmax of the radius over grid points."""
-    radius = np.zeros(sgn.shape)
-    for s in (1, -1):
-        if dists[s] is not None:
-            radius[sgn == s] = dists[s][sgn == s]
-    return int(np.argmax(radius))  # first occurrence: lowest-index tie-break
+            dist = distance_transform_edt(mine, sampling=spacing)
+        else:
+            while True:
+                padded = np.pad(mine, tuple((p, p) for p in pad), mode="wrap")
+                dist = distance_transform_edt(padded, sampling=spacing)
+                dist = dist[tuple(slice(p, p + n) for p, n in zip(pad, sgn.shape))]
+                top = float(dist.max())
+                if all(p == c or top <= p * h for p, c, h in zip(pad, caps, spacing)):
+                    break
+                pad = [min(math.ceil(top / h) + 1, c) for h, c in zip(spacing, caps)]
+        radius[mine] = dist[mine]
+        del dist  # free the padded distances before the next sign's EDT
+    return radius
 
 
 def _bisect_crossing(eval_line, lo: float, hi: float, steps: int = _REFINE_STEPS):
@@ -207,110 +205,102 @@ def _bisect_crossing(eval_line, lo: float, hi: float, steps: int = _REFINE_STEPS
 def largest_signfree_ball(f, dom: SearchDomain, seed: Optional[int] = None) -> SignBallReport:
     """Measure the largest ball on which f keeps one sign.
 
-    Samples signs on the domain grid (values within 1e-12 of zero relative
-    to the grid maximum count as sign changes), computes for every point the
-    exact distance to the nearest opposite-sign point (wrap-around metric on
-    the torus, geodesic via the spiral-grid neighbor graph on the sphere,
-    Euclidean in a box), takes the maximizing center, and sharpens the
-    radius by bisecting along the segment from the center to its nearest
-    sign change.
+    One pipeline serves every domain: sampler -> signs -> outcomes -> search.
 
-    A function of constant sign on the whole grid yields a flagged report
-    with r_upper equal to the domain diameter; for mean-zero inputs that
-    signals an upstream bug.
+    1. The domain's sampler (``_grid_sample`` on the torus and in a box,
+       ``_sphere_sample`` on the sphere) evaluates f on its grid and returns
+       the values, the point of a flat sample index, the grid diagonal and
+       the domain's ``search(sgn) -> (center, r)`` step.
+    2. ``_signs`` turns the samples into signs; values within 1e-12 of zero
+       relative to the grid maximum count as sign changes.
+    3. A function of constant sign on the whole grid yields a flagged report
+       with r_upper equal to the domain diameter (for mean-zero inputs that
+       signals an upstream bug); a grid of zeros yields r_lower = 0.
+    4. Otherwise the sampler's search finds, for every sample, the exact
+       distance to the nearest sample of another sign (wrap-around metric on
+       the torus, geodesic on the sphere, Euclidean in a box), takes the
+       maximizing center, and sharpens the radius by bisecting toward its
+       nearest sign change.
+
+    Every report is built in one place; r_upper adds one grid diagonal.
     """
-    if dom.kind == "sphere":
-        return _sphere_search(f, dom, seed)
-    n = dom.resolution
-    d = dom.dim
-    if dom.kind == "torus":
-        if isinstance(f, TrigPoly) and f.dim == d:
-            values = f.eval_grid(n)
-        else:
-            axes = [np.arange(n) / n] * d
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=1)
-            values = _evaluate(f, pts).reshape((n,) * d)
-        spacing = (1.0 / n,) * d
-        axes_coords = [np.arange(n) / n] * d
-        periodic = True
-    else:
-        axes_coords = [np.linspace(dom.lo[i], dom.hi[i], n) for i in range(d)]
-        mesh = np.meshgrid(*axes_coords, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        values = _evaluate(f, pts).reshape((n,) * d)
-        spacing = tuple(
-            (dom.hi[i] - dom.lo[i]) / (n - 1) for i in range(d)
-        )
-        periodic = False
+    sample = _sphere_sample if dom.kind == "sphere" else _grid_sample
+    values, point, diag, search = sample(f, dom)
     sgn = _signs(values)
-    diag = math.sqrt(sum(h * h for h in spacing))
-    if np.all(sgn == sgn.flat[0]) and sgn.flat[0] != 0:
-        idx = np.unravel_index(0, values.shape)
-        center = tuple(float(axes_coords[i][idx[i]]) for i in range(d))
-        return SignBallReport(
-            center=center,
-            r_lower=0.0,
-            r_upper=dom.diameter(),
-            samples_used=values.size,
-            resolution=n,
-            domain=dom.kind,
-            dim=d,
-            constant_sign=True,
-            seed=seed,
-            notes="constant sign on the whole grid",
-        )
-    dists = _grid_distances(sgn, spacing, periodic)
-    flat = _best_center(sgn, dists)
-    idx = np.unravel_index(flat, values.shape)
-    center = np.array([axes_coords[i][idx[i]] for i in range(d)])
-    center_sign = int(sgn[idx])
-    if center_sign == 0:
-        # every sample is (numerically) zero: no sign-free ball at all
+
+    def report(center, r_lower, r_upper, **outcome):
         return SignBallReport(
             center=tuple(float(c) for c in center),
-            r_lower=0.0,
-            r_upper=diag,
+            r_lower=r_lower,
+            r_upper=r_upper,
             samples_used=values.size,
-            resolution=n,
+            resolution=dom.resolution,
             domain=dom.kind,
-            dim=d,
+            dim=dom.dim,
             seed=seed,
-            notes="grid values all within the zero threshold",
+            **outcome,
         )
-    # exact nearest opposite-sign sample, for the refinement direction
-    opp_mask = sgn != center_sign
-    opp_idx = np.argwhere(opp_mask)
-    opp_pts = np.stack(
-        [np.asarray(axes_coords[i])[opp_idx[:, i]] for i in range(d)], axis=1
-    )
+
+    first = sgn.flat[0]
+    if first != 0 and np.all(sgn == first):
+        return report(
+            point(0), 0.0, dom.diameter(),
+            constant_sign=True, notes="constant sign on the whole grid",
+        )
+    if not sgn.any():
+        # every sample is (numerically) zero: no sign-free ball at all
+        return report(point(0), 0.0, diag, notes="grid values all within the zero threshold")
+    center, r = search(sgn)
+    return report(center, r, r + diag)
+
+
+def _grid_sample(f, dom: SearchDomain):
+    """Sampler of the uniform grid: i/n per axis on the torus, n points from
+    lo to hi per axis in a box. The search centers the ball on the first
+    cell of largest EDT distance and bisects along the segment (t in [0, 1])
+    to its nearest cell of another sign."""
+    n, d = dom.resolution, dom.dim
+    periodic = dom.kind == "torus"
     if periodic:
-        deltas = _torus_wrap_delta(center, opp_pts)
+        axes = [np.arange(n) / n] * d
+        spacing = (1.0 / n,) * d
     else:
+        axes = [np.linspace(dom.lo[i], dom.hi[i], n) for i in range(d)]
+        spacing = tuple((dom.hi[i] - dom.lo[i]) / (n - 1) for i in range(d))
+    if periodic and isinstance(f, TrigPoly) and f.dim == d:
+        values = f.eval_grid(n)
+    else:
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        values = _evaluate(f, pts).reshape((n,) * d)
+    diag = math.sqrt(sum(h * h for h in spacing))
+
+    def point(flat):
+        idx = np.unravel_index(flat, values.shape)
+        return np.array([axis[k] for axis, k in zip(axes, idx)])
+
+    def search(sgn):
+        flat = int(np.argmax(_grid_distances(sgn, spacing, periodic)))  # lowest-index tie-break
+        center = point(flat)
+        # exact nearest sample of another sign, for the refinement direction
+        opp_idx = np.argwhere(sgn != sgn.flat[flat])
+        opp_pts = np.stack([axes[i][opp_idx[:, i]] for i in range(d)], axis=1)
         deltas = opp_pts - center
-    dist2 = np.einsum("ij,ij->i", deltas, deltas)
-    j = int(np.argmin(dist2))
-    delta = deltas[j]
-    seg_len = math.sqrt(float(dist2[j]))
-
-    def eval_line(t):
-        p = center + t * delta
         if periodic:
-            p = p % 1.0
-        return float(_evaluate(f, p[None, :])[0])
+            deltas = (deltas + 0.5) % 1.0 - 0.5  # nearest image
+        dist2 = np.einsum("ij,ij->i", deltas, deltas)
+        j = int(np.argmin(dist2))
+        delta = deltas[j]
 
-    t_cross = _bisect_crossing(eval_line, 0.0, 1.0)
-    r_ref = t_cross * seg_len
-    return SignBallReport(
-        center=tuple(float(c) for c in center),
-        r_lower=r_ref,
-        r_upper=r_ref + diag,
-        samples_used=values.size,
-        resolution=n,
-        domain=dom.kind,
-        dim=d,
-        seed=seed,
-    )
+        def eval_line(t):
+            p = center + t * delta
+            if periodic:
+                p = p % 1.0
+            return float(_evaluate(f, p[None, :])[0])
+
+        return center, _bisect_crossing(eval_line, 0.0, 1.0) * math.sqrt(float(dist2[j]))
+
+    return values, point, diag, search
 
 
 def _fibonacci_sphere(n_points: int) -> np.ndarray:
@@ -349,6 +339,7 @@ def _sphere_graph_radius(graph, sgn: np.ndarray) -> np.ndarray:
     """Per sample of sign +-1, the shortest-path length to the nearest sample
     of another sign in the spiral's kNN graph (0 on zeros).
 
+    A sign with no samples, or with no samples of another sign, is skipped.
     One multi-source Dijkstra per sign runs in scipy's compiled csgraph.
     Path lengths never undercut the geodesic.
     """
@@ -357,106 +348,64 @@ def _sphere_graph_radius(graph, sgn: np.ndarray) -> np.ndarray:
     radius = np.zeros(sgn.size)
     for s in (1, -1):
         mine = sgn == s
-        sources = np.nonzero(~mine)[0]
-        if not mine.any() or sources.size == 0:
+        if not mine.any() or mine.all():
             continue
-        dist = dijkstra(graph, directed=True, indices=sources, min_only=True)
+        dist = dijkstra(graph, directed=True, indices=np.nonzero(~mine)[0], min_only=True)
         radius[mine] = dist[mine]
     return radius
 
 
-def _sphere_search(f, dom: SearchDomain, seed) -> SignBallReport:
-    """Sign search on the equal-area spiral of ``resolution**2`` points.
+def _sphere_sample(f, dom: SearchDomain):
+    """Sampler of the equal-area spiral of ``resolution**2`` points.
 
-    Ranks the samples by their kNN-graph distance to another sign
+    The search ranks the samples by their kNN-graph distance to another sign
     (``_sphere_graph_radius``, compiled Dijkstra on the cached graph of
-    ``_spiral_graph``), then replaces the graph
-    distance of the leaders, those within 10 % of the best (at most 512),
-    by the exact arc to the nearest sample of another sign; the opposite-sign
-    points are gathered once per sign. The best leader is the center, and
-    its radius is sharpened by slerp bisection toward that sample.
+    ``_spiral_graph``), then replaces the graph distance of the leaders,
+    those within 10 % of the best (at most 512), by the exact arc omega to
+    the nearest sample of another sign; the opposite-sign points are
+    gathered once per sign. The best leader is the center, and its radius is
+    sharpened by slerp bisection (theta in [0, omega]) toward that sample.
     """
     n_points = dom.resolution**2
     pts, graph = _spiral_graph(n_points)
     values = _evaluate(f, pts)
-    sgn = _signs(values)
     # typical spacing of the equal-area spiral; one "grid diagonal"
     diag = 2.0 * math.sqrt(4.0 * math.pi / n_points)
-    if np.all(sgn == sgn[0]) and sgn[0] != 0:
-        return SignBallReport(
-            center=tuple(map(float, pts[0])),
-            r_lower=0.0,
-            r_upper=dom.diameter(),
-            samples_used=n_points,
-            resolution=dom.resolution,
-            domain="sphere",
-            dim=3,
-            constant_sign=True,
-            seed=seed,
-            notes="constant sign on the whole grid",
-        )
-    if not sgn.any():
-        # every sample is (numerically) zero: no sign-free ball at all
-        return SignBallReport(
-            center=tuple(map(float, pts[0])),
-            r_lower=0.0,
-            r_upper=diag,
-            samples_used=n_points,
-            resolution=dom.resolution,
-            domain="sphere",
-            dim=3,
-            seed=seed,
-            notes="grid values all within the zero threshold",
-        )
-    radius = _sphere_graph_radius(graph, sgn)
-    # graph distances overestimate geodesics: correct the leaders exactly
-    order = np.argsort(-radius, kind="stable")
-    top = order[: min(512, n_points)]
-    best_r = -1.0
-    best_i = -1
-    best_seed = None
-    opposite = {}  # sign -> (indices, points) of the samples of other signs
-    for i in top:
-        if radius[i] < 0.9 * radius[order[0]] and best_i >= 0:
-            break
-        s = int(sgn[i])
-        if s not in opposite:
-            opp = np.nonzero(sgn != s)[0]
-            opposite[s] = (opp, pts[opp])
-        opp, opp_pts = opposite[s]
-        cos_to = opp_pts @ pts[i]
-        jmax = int(np.argmax(cos_to))
-        exact = math.acos(max(-1.0, min(1.0, float(cos_to[jmax]))))
-        if exact > best_r:
-            best_r = exact
-            best_i = int(i)
-            best_seed = pts[opp[jmax]]
-    center = pts[best_i]
-    # slerp bisection toward the nearest sign change
-    omega = best_r
-    axis = best_seed - math.cos(omega) * center
-    axis_norm = np.linalg.norm(axis)
-    if axis_norm < 1e-14:
-        r_ref = 0.0
-    else:
+
+    def search(sgn):
+        radius = _sphere_graph_radius(graph, sgn)
+        # graph distances overestimate geodesics: correct the leaders exactly
+        order = np.argsort(-radius, kind="stable")
+        best_r, best_i, best_seed = -1.0, -1, None
+        opposite = {}  # sign -> (indices, points) of the samples of other signs
+        for i in order[:512]:
+            if radius[i] < 0.9 * radius[order[0]] and best_i >= 0:
+                break
+            s = int(sgn[i])
+            if s not in opposite:
+                opp = np.nonzero(sgn != s)[0]
+                opposite[s] = (opp, pts[opp])
+            opp, opp_pts = opposite[s]
+            cos_to = opp_pts @ pts[i]
+            jmax = int(np.argmax(cos_to))
+            exact = math.acos(max(-1.0, min(1.0, float(cos_to[jmax]))))
+            if exact > best_r:
+                best_r, best_i, best_seed = exact, int(i), pts[opp[jmax]]
+        center = pts[best_i]
+        # slerp bisection toward the nearest sign change
+        axis = best_seed - math.cos(best_r) * center
+        axis_norm = np.linalg.norm(axis)
+        if axis_norm < 1e-14:
+            return center, 0.0
         axis = axis / axis_norm
 
         def eval_arc(theta):
             p = math.cos(theta) * center + math.sin(theta) * axis
             return float(_evaluate(f, p[None, :])[0])
 
-        theta_cross = _bisect_crossing(eval_arc, 0.0, omega)
-        r_ref = theta_cross
-    return SignBallReport(
-        center=tuple(float(c) for c in center),
-        r_lower=r_ref,
-        r_upper=r_ref + diag,
-        samples_used=n_points,
-        resolution=dom.resolution,
-        domain="sphere",
-        dim=3,
-        seed=seed,
-    )
+        return center, _bisect_crossing(eval_arc, 0.0, best_r)
+
+    return values, lambda flat: pts[flat], diag, search
 
 
 def verify_bound(f, dom: SearchDomain, bound: float, seed: Optional[int] = None):
@@ -469,7 +418,7 @@ def verify_bound(f, dom: SearchDomain, bound: float, seed: Optional[int] = None)
     if not bound > 0.0:
         raise ValueError(f"bound must be positive, got {bound!r}")
     report = largest_signfree_ball(f, dom, seed=seed).with_bound(bound)
-    return bool(report.r_lower <= bound), report
+    return report.passed, report
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .signsearch import _signs
+
 _POS = "#4878cf"
 _NEG = "#e1812c"
 _ZERO = "#999999"
@@ -57,8 +59,7 @@ def sign_trace_svg(xs, values, path, width: int = 900, height: int = 300):
         f'<polyline points="{pts}" fill="none" stroke="#333333" stroke-width="1.2"/>',
     ]
     # run-length sign band
-    scale = 1e-12 * vmax
-    signs = np.where(values > scale, 1, np.where(values < -scale, -1, 0))
+    signs = _signs(values)
     start = 0
     y_band = height - margin - band_h
     for i in range(1, len(signs) + 1):
@@ -79,10 +80,7 @@ def sign_raster_svg(values2d, path, cell: int = 4, max_cells: int = 200):
     n0, n1 = values2d.shape
     step0 = max(1, n0 // max_cells)
     step1 = max(1, n1 // max_cells)
-    sub = values2d[::step0, ::step1]
-    vmax = float(np.max(np.abs(sub))) or 1.0
-    scale = 1e-12 * vmax
-    signs = np.where(sub > scale, 1, np.where(sub < -scale, -1, 0))
+    signs = _signs(values2d[::step0, ::step1])
     rows, cols = signs.shape
     width, height = cols * cell, rows * cell
     body = [f'<rect width="{width}" height="{height}" fill="white"/>']
@@ -120,12 +118,10 @@ def _mollweide_theta(lat: float) -> float:
 
 
 def mollweide_svg(points, values, path, width: int = 800):
-    """Mollweide projection of signes sampled at unit vectors ``points``."""
+    """Mollweide projection of signs sampled at unit vectors ``points``."""
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
     height = width // 2
-    vmax = float(np.max(np.abs(values))) or 1.0
-    scale = 1e-12 * vmax
     cx, cy = width / 2.0, height / 2.0
     rx, ry = width / 2.0 - 4.0, height / 2.0 - 4.0
     body = [
@@ -134,15 +130,14 @@ def mollweide_svg(points, values, path, width: int = 800):
         f'stroke="#888888" stroke-width="1"/>',
     ]
     dot = max(1.5, 0.5 * math.sqrt(width * height / max(len(points), 1)))
-    for p, v in zip(points, values):
+    for p, sign in zip(points, _signs(values)):
         lon = math.atan2(p[1], p[0])
         lat = math.asin(max(-1.0, min(1.0, p[2])))
         theta = _mollweide_theta(lat)
         x = cx + rx * (lon / math.pi) * math.cos(theta)
         y = cy - ry * math.sin(theta)
-        sign = 1 if v > scale else (-1 if v < -scale else 0)
         body.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{dot:.2f}" fill="{_color(sign)}"/>'
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{dot:.2f}" fill="{_color(int(sign))}"/>'
         )
     with open(path, "w") as fh:
         fh.write(_svg_document(width, height, body))

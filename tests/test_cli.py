@@ -152,13 +152,6 @@ class TestSuiteDeterminism:
         assert code1 == 0 and code2 == 0
         assert read_body(out1 / "report.csv") == read_body(out2 / "report.csv")
 
-    def test_threads_env_does_not_change_output(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["--cmd", "suite", "--seed", "9", "--count", "4", "--out", str(out1)])
-        monkeypatch.setenv("NODAL_RADIUS_THREADS", "4")
-        main(["--cmd", "suite", "--seed", "9", "--count", "4", "--out", str(out2)])
-        assert read_body(out1 / "report.csv") == read_body(out2 / "report.csv")
-
     def test_different_seed_changes_rows(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["--cmd", "suite", "--seed", "1", "--count", "4", "--out", str(out1)])

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
 from scipy.spatial import cKDTree
+from scipy.special import eval_legendre
 
 from nodal_radius import signsearch
-from nodal_radius.eigenid import bound_theorem3
+from nodal_radius.eigenid import EigenMix, PlaneWaveEigen, bound_theorem3
 from nodal_radius.signsearch import (
     _SPHERE_KNN,
     _bisect_crossing,
@@ -88,23 +91,24 @@ class TestTorusSearch:
             assert ok1 and ok2
 
 
-def full_pad_torus_distances(sgn, spacing):
-    """Reference: EDT on the grid wrap-padded by n // 2 on every side."""
-    out = {}
+def full_pad_torus_radius(sgn, spacing):
+    """Reference: per cell of sign +-1, the EDT distance to another sign on
+    the grid wrap-padded by n // 2 on every side (0 on zeros)."""
+    radius = np.zeros(sgn.shape)
+    pad = tuple(n // 2 for n in sgn.shape)
     for s in (1, -1):
-        seeds = sgn != s
-        if not seeds.any():
-            out[s] = None
+        mine = sgn == s
+        if not mine.any() or mine.all():
             continue
-        pad = tuple(n // 2 for n in sgn.shape)
-        padded = np.pad(~seeds, tuple((p, p) for p in pad), mode="wrap")
+        padded = np.pad(mine, tuple((p, p) for p in pad), mode="wrap")
         dist = distance_transform_edt(padded, sampling=spacing)
-        out[s] = dist[tuple(slice(p, p + n) for p, n in zip(pad, sgn.shape))]
-    return out
+        dist = dist[tuple(slice(p, p + n) for p, n in zip(pad, sgn.shape))]
+        radius[mine] = dist[mine]
+    return radius
 
 
 class TestTorusDistances:
-    """The answer-sized wrap pad gives the full-pad distances, element for element."""
+    """The answer-sized wrap pad gives the full-pad radius array, element for element."""
 
     def pads_used(self, monkeypatch, sgn, spacing):
         shapes = []
@@ -118,14 +122,6 @@ class TestTorusDistances:
         monkeypatch.undo()
         return got, [(shape[0] - sgn.shape[0]) // 2 for shape in shapes]
 
-    def assert_same(self, got, want):
-        assert got.keys() == want.keys()
-        for s in want:
-            if want[s] is None:
-                assert got[s] is None
-            else:
-                assert np.array_equal(got[s], want[s])
-
     @pytest.mark.parametrize("dim, n", [(1, 512), (2, 128), (3, 48)])
     def test_random_trig_grids(self, dim, n):
         rng = np.random.default_rng(40 + dim)
@@ -133,9 +129,9 @@ class TestTorusDistances:
             f = random_trig_poly(rng, dim, max_shells=4, max_norm=8)
             sgn = _signs(f.eval_grid(n))
             spacing = (1.0 / n,) * dim
-            self.assert_same(
+            assert np.array_equal(
                 _grid_distances(sgn, spacing, periodic=True),
-                full_pad_torus_distances(sgn, spacing),
+                full_pad_torus_radius(sgn, spacing),
             )
 
     def test_first_pad_too_small_grows(self, monkeypatch):
@@ -143,7 +139,7 @@ class TestTorusDistances:
         n = 256
         sgn = _signs(cosine_1d(1).eval_grid(n))
         got, pads = self.pads_used(monkeypatch, sgn, (1.0 / n,))
-        self.assert_same(got, full_pad_torus_distances(sgn, (1.0 / n,)))
+        assert np.array_equal(got, full_pad_torus_radius(sgn, (1.0 / n,)))
         assert pads[0] == signsearch._TORUS_PAD
         assert signsearch._TORUS_PAD < pads[1] < n // 2
 
@@ -158,8 +154,128 @@ class TestTorusDistances:
         assert (sgn == 1).any() and (sgn == -1).any()
         spacing = (1.0 / n, 1.0 / n)
         got, pads = self.pads_used(monkeypatch, sgn, spacing)
-        self.assert_same(got, full_pad_torus_distances(sgn, spacing))
+        assert np.array_equal(got, full_pad_torus_radius(sgn, spacing))
         assert n // 2 in pads
+
+    def test_sign_without_cells_skipped(self, monkeypatch):
+        # positive cells and zeros only: no EDT runs for the negative sign
+        n = 64
+        sgn = _signs(np.maximum(np.cos(2 * np.pi * np.arange(n) / n), 0.0))
+        assert not (sgn == -1).any()
+        inputs = []
+
+        def edt(a, **kw):
+            inputs.append(a.any())
+            return distance_transform_edt(a, **kw)
+
+        monkeypatch.setattr(signsearch, "distance_transform_edt", edt)
+        got = _grid_distances(sgn, (1.0 / n,), periodic=True)
+        assert np.array_equal(got, full_pad_torus_radius(sgn, (1.0 / n,)))
+        assert inputs and all(inputs)
+
+
+def reference_grid_search(f, dom, seed=None):
+    """Reference: the torus and box search in one function, with a distance
+    array per sign, an argmax over their merge and a report per outcome."""
+
+    def evaluate(pts):
+        return np.asarray(f.eval_many(pts) if hasattr(f, "eval_many") else f(pts), dtype=float)
+
+    n, d = dom.resolution, dom.dim
+    periodic = dom.kind == "torus"
+    if periodic:
+        axes = [np.arange(n) / n] * d
+        spacing = (1.0 / n,) * d
+    else:
+        axes = [np.linspace(dom.lo[i], dom.hi[i], n) for i in range(d)]
+        spacing = tuple((dom.hi[i] - dom.lo[i]) / (n - 1) for i in range(d))
+    if periodic and isinstance(f, TrigPoly) and f.dim == d:
+        values = f.eval_grid(n)
+    else:
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        values = evaluate(pts).reshape((n,) * d)
+    sgn = _signs(values)
+    diag = math.sqrt(sum(h * h for h in spacing))
+    common = dict(samples_used=values.size, resolution=n, domain=dom.kind, dim=d, seed=seed)
+    if np.all(sgn == sgn.flat[0]) and sgn.flat[0] != 0:
+        return signsearch.SignBallReport(
+            center=tuple(float(a[0]) for a in axes), r_lower=0.0, r_upper=dom.diameter(),
+            constant_sign=True, notes="constant sign on the whole grid", **common,
+        )
+    caps = [m // 2 for m in sgn.shape]
+    pad = [min(8, c) for c in caps]
+    dists = {}
+    for s in (1, -1):
+        seeds = sgn != s
+        if not seeds.any():
+            dists[s] = None
+        elif not periodic:
+            dists[s] = distance_transform_edt(~seeds, sampling=spacing)
+        else:
+            while True:
+                padded = np.pad(~seeds, tuple((p, p) for p in pad), mode="wrap")
+                dist = distance_transform_edt(padded, sampling=spacing)
+                dist = dist[tuple(slice(p, p + m) for p, m in zip(pad, sgn.shape))]
+                top = float(dist.max())
+                if all(p == c or top <= p * h for p, c, h in zip(pad, caps, spacing)):
+                    break
+                pad = [min(math.ceil(top / h) + 1, c) for h, c in zip(spacing, caps)]
+            dists[s] = dist
+    radius = np.zeros(sgn.shape)
+    for s in (1, -1):
+        if dists[s] is not None:
+            radius[sgn == s] = dists[s][sgn == s]
+    idx = np.unravel_index(int(np.argmax(radius)), sgn.shape)
+    center = np.array([axes[i][idx[i]] for i in range(d)])
+    center_sign = int(sgn[idx])
+    if center_sign == 0:
+        return signsearch.SignBallReport(
+            center=tuple(float(c) for c in center), r_lower=0.0, r_upper=diag,
+            notes="grid values all within the zero threshold", **common,
+        )
+    opp_idx = np.argwhere(sgn != center_sign)
+    opp_pts = np.stack([axes[i][opp_idx[:, i]] for i in range(d)], axis=1)
+    deltas = opp_pts - center
+    if periodic:
+        deltas = (deltas + 0.5) % 1.0 - 0.5
+    dist2 = np.einsum("ij,ij->i", deltas, deltas)
+    j = int(np.argmin(dist2))
+
+    def eval_line(t):
+        p = center + t * deltas[j]
+        if periodic:
+            p = p % 1.0
+        return float(evaluate(p[None, :])[0])
+
+    r_ref = _bisect_crossing(eval_line, 0.0, 1.0) * math.sqrt(float(dist2[j]))
+    return signsearch.SignBallReport(
+        center=tuple(float(c) for c in center), r_lower=r_ref, r_upper=r_ref + diag, **common
+    )
+
+
+class TestGridSearchReference:
+    """Torus and box reports equal the two-path grid search field for field."""
+
+    @pytest.mark.parametrize("dim, n", [(1, 256), (2, 64), (3, 24)])
+    def test_torus_trig_poly(self, dim, n):
+        rng = np.random.default_rng(70 + dim)
+        dom = SearchDomain.torus(dim, n)
+        for _ in range(4):
+            f = random_trig_poly(rng, dim, max_shells=4, max_norm=8)
+            # the TrigPoly takes the eval_grid path, a plain callable the mesh
+            for g in (f, lambda pts: f.eval_many(pts)):
+                assert largest_signfree_ball(g, dom, seed=5) == reference_grid_search(g, dom, 5)
+
+    @pytest.mark.parametrize("dim, n", [(2, 64), (3, 24)])
+    def test_box_eigen_mix(self, dim, n):
+        rng = np.random.default_rng(80 + dim)
+        for _ in range(4):
+            mix = random_eigen_mix(rng, dim, max_levels=3, lam_lo=1.0, lam_hi=40.0)
+            L = 2.0 * bound_theorem3(mix)
+            dom = SearchDomain.box(dim, (0.0,) * dim, (L,) * dim, n)
+            for g in (mix, lambda pts: mix.eval_many(pts)):
+                assert largest_signfree_ball(g, dom, seed=3) == reference_grid_search(g, dom, 3)
 
 
 class TestBoxSearch:
@@ -331,6 +447,187 @@ class TestNonFiniteSamples:
             largest_signfree_ball(f, dom)
         with pytest.raises(ValueError, match="finite"):
             verify_bound(f, dom, 1.0)
+
+
+OUTCOME_DOMAINS = [
+    SearchDomain.torus(2, 32),
+    SearchDomain.sphere(3, 32),
+    SearchDomain.box(2, (-1.0, 0.5), (1.0, 2.0), 32),
+]
+
+
+def first_sample(dom):
+    """The first sample of the domain's grid, laid out independently."""
+    if dom.kind == "torus":
+        return (0.0,) * dom.dim
+    if dom.kind == "box":
+        return dom.lo
+    z = 1.0 - 1.0 / dom.resolution**2  # first point of the equal-area spiral
+    return (math.sqrt(1.0 - z * z), 0.0, z)
+
+
+def grid_diagonal(dom):
+    if dom.kind == "sphere":
+        return 2.0 * math.sqrt(4.0 * math.pi / dom.resolution**2)
+    n = dom.resolution
+    steps = [1.0 / n] * dom.dim if dom.kind == "torus" else [
+        (h - l) / (n - 1) for l, h in zip(dom.lo, dom.hi)
+    ]
+    return math.sqrt(sum(h * h for h in steps))
+
+
+def max_cos_0(dom):
+    """max(cos, 0) of the polar angle on the sphere, of 2 pi x_1 on grids:
+    one sign plus zeros, with its sign-free ball centered on the first sample."""
+    if dom.kind == "sphere":
+        return lambda p: np.maximum(p[:, 2], 0.0)
+    return lambda p: np.maximum(np.cos(2.0 * np.pi * p[:, 0]), 0.0)
+
+
+class TestOutcomes:
+    """Every domain reports the constant-sign, all-zero and one-sign-plus-zeros
+    outcomes through the same pipeline."""
+
+    @pytest.mark.parametrize("dom", OUTCOME_DOMAINS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("case", ["constant", "zero", "max_cos_0"])
+    def test_outcome(self, dom, case):
+        f = {
+            "constant": lambda p: np.full(len(p), -2.0),
+            "zero": lambda p: np.zeros(len(p)),
+            "max_cos_0": max_cos_0(dom),
+        }[case]
+        report = largest_signfree_ball(f, dom, seed=4)
+        assert report.samples_used == dom.resolution ** (2 if dom.kind == "sphere" else dom.dim)
+        assert report.center == first_sample(dom)
+        assert report.constant_sign == (case == "constant")
+        assert (report.domain, report.dim, report.resolution, report.seed) == (
+            dom.kind, dom.dim, dom.resolution, 4
+        )
+        if case == "constant":
+            assert report.notes == "constant sign on the whole grid"
+            assert (report.r_lower, report.r_upper) == (0.0, dom.diameter())
+        elif case == "zero":
+            assert report.notes == "grid values all within the zero threshold"
+            assert report.r_lower == 0.0
+            assert report.r_upper == pytest.approx(grid_diagonal(dom), rel=1e-15)
+        else:
+            assert report.notes == ""
+            assert report.r_lower > 0.0
+            assert report.r_upper - report.r_lower == pytest.approx(grid_diagonal(dom), rel=1e-12)
+        if dom.kind != "sphere":
+            assert report == reference_grid_search(f, dom, seed=4)
+
+
+# -- certificate properties ------------------------------------------------
+
+AMPLITUDES = st.floats(0.2, 2.0) | st.floats(-2.0, -0.2)
+PHASES = st.floats(0.0, 2.0 * math.pi)
+DIRECTIONS = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+    lambda v: math.hypot(*v) > 0.1
+)
+TORUS_RES = {1: 128, 2: 48, 3: 20}
+BOX_RES = {2: 48, 3: 16}
+
+
+@st.composite
+def torus_terms(draw):
+    d = draw(st.integers(1, 3))
+    k = st.lists(st.integers(-4, 4), min_size=d, max_size=d).filter(any).map(tuple)
+    return d, draw(st.lists(st.tuples(k, AMPLITUDES, PHASES), min_size=1, max_size=4))
+
+
+@st.composite
+def box_levels(draw):
+    d = draw(st.integers(2, 3))
+    wave = st.tuples(DIRECTIONS.map(lambda v: v[:d]), AMPLITUDES, PHASES).filter(
+        lambda w: math.hypot(*w[0]) > 0.1
+    )
+    level = st.tuples(st.floats(1.0, 30.0), st.lists(wave, min_size=1, max_size=2))
+    return d, draw(st.lists(level, min_size=1, max_size=2))
+
+
+def assert_certificate(report, pts, values, dist_to):
+    """No sample strictly within r_lower of the center has another sign
+    than the center (the test's own layout ``pts``, values and metric)."""
+    scale = np.max(np.abs(values))
+    signs = np.where(values > 1e-12 * scale, 1, np.where(values < -1e-12 * scale, -1, 0))
+    center = np.asarray(report.center)
+    offset = np.linalg.norm(pts - center, axis=1)
+    at = int(np.argmin(offset))
+    assert offset[at] <= 1e-12  # the center is a sample
+    dist = dist_to(center, pts)
+    # the radius is a distance computed in the package: allow its rounding
+    inside = dist < report.r_lower * (1.0 - 1e-12)
+    assert np.all(signs[inside] == signs[at])
+
+
+def grid_points(axes):
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+class TestCertificateProperty:
+    """For random instances in each domain, r_lower certifies the sampled
+    signs and never exceeds the theorem bound."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(torus_terms())
+    def test_torus(self, inst):
+        d, terms = inst
+        f = TrigPoly.from_cosines(d, terms)
+        dom = SearchDomain.torus(d, TORUS_RES[d])
+        report = largest_signfree_ball(f, dom)
+        pts = grid_points([np.arange(dom.resolution) / dom.resolution] * d)
+        values = sum(a * np.cos(2.0 * np.pi * (pts @ np.array(k, float)) + ph) for k, a, ph in terms)
+
+        def wrap_dist(c, p):
+            delta = (p - c + 0.5) % 1.0 - 0.5
+            return np.sqrt(np.einsum("ij,ij->i", delta, delta))
+
+        assert_certificate(report, pts, values, wrap_dist)
+        assert report.r_lower <= bound_theorem1(f)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 8), DIRECTIONS, AMPLITUDES), min_size=1, max_size=3))
+    def test_sphere(self, terms):
+        poles = [np.array(v) / np.linalg.norm(v) for _, v, _ in terms]
+        f = SphereFn(3, [ZonalTerm(deg, pole, w) for (deg, _, w), pole in zip(terms, poles)])
+        dom = SearchDomain.sphere(3, 24)
+        report = largest_signfree_ball(f, dom)
+        n_points = dom.resolution**2
+        i = np.arange(n_points)
+        z = 1.0 - (2.0 * i + 1.0) / n_points
+        phi = i * math.pi * (3.0 - math.sqrt(5.0))
+        rho = np.sqrt(1.0 - z * z)
+        pts = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+        values = sum(w * eval_legendre(deg, pts @ pole) for (deg, _, w), pole in zip(terms, poles))
+
+        def arc(c, p):
+            return np.arccos(np.clip(p @ c, -1.0, 1.0))
+
+        assert_certificate(report, pts, values, arc)
+        assert report.r_lower <= bound_theorem2(f)
+
+    @settings(max_examples=25, deadline=None)
+    @given(box_levels())
+    def test_box(self, inst):
+        d, levels = inst
+        levels = [
+            (lam, [(np.array(v) / math.hypot(*v) * math.sqrt(lam), a, ph) for v, a, ph in ws])
+            for lam, ws in levels
+        ]
+        mix = EigenMix(d, [(1.0, PlaneWaveEigen(d, lam, ws)) for lam, ws in levels])
+        bound = bound_theorem3(mix)
+        dom = SearchDomain.box(d, (0.0,) * d, (2.0 * bound,) * d, BOX_RES[d])
+        report = largest_signfree_ball(mix, dom)
+        pts = grid_points([np.linspace(0.0, 2.0 * bound, dom.resolution)] * d)
+        values = sum(a * np.cos(pts @ k + ph) for _, ws in levels for k, a, ph in ws)
+
+        def euclid(c, p):
+            return np.sqrt(np.einsum("ij,ij->i", p - c, p - c))
+
+        assert_certificate(report, pts, values, euclid)
+        assert report.r_lower <= bound
 
 
 class TestDomainValidation:
