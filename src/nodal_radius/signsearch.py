@@ -14,11 +14,21 @@ All three domains run one pipeline, ``largest_signfree_ball``:
 Every report is built in one place, and ``verify_bound`` compares it with
 a theoretical radius bound.
 
-Distances cost in proportion to the grid and the answer. The torus EDT
-wrap-pads each axis only as far as the largest distance reaches (see
-``_grid_distances`` for why that is exact), and the sphere's graph distances
-come from one compiled multi-source Dijkstra per sign
-(``scipy.sparse.csgraph``).
+Grid distances are computed only where the largest ball can be
+(``_grid_argmax``). A stride-2 coarse EDT per sign gives an exact upper
+bound on every fine distance: the coarse cells of another sign are fine
+cells of another sign, and every fine cell lies within one grid diagonal
+h*sqrt(d) of a coarse cell, so coarse distance + h*sqrt(d) bounds it. Tiles
+of cells are visited by decreasing bound until the bound falls below the
+best fine distance found; each gets a fine EDT of a window padded by its
+bound, which holds the nearest cell of another sign of every tile cell, so
+the result is exact. A sign falls back to one EDT of the whole grid (on the
+torus wrap-padded only as far as the answer reaches, ``_wrap_edt``) when
+the windows would cover more cells, when an axis has odd n, or when its
+coarse grid holds no cell of another sign. The nearest cell
+of another sign is then looked for within the answer's radius of the
+center. The sphere's graph distances come from one compiled multi-source
+Dijkstra per sign (``scipy.sparse.csgraph``).
 
 The reported r_lower is a certificate *at grid resolution*: no sampled
 point within r_lower of the center has the opposite sign; r_upper adds one
@@ -47,6 +57,11 @@ _NEAR_ZERO = 1e-12
 _REFINE_STEPS = 40
 _SPHERE_KNN = 8
 _TORUS_PAD = 8
+_TILE = 8  # cells per axis of a coarse-to-fine search tile (even)
+_EDT_CALL_CELLS = 512  # the fixed cost of one EDT call, in cells
+# relative slack on a tile bound: a collinear case meets the bound exactly,
+# and rounding may overshoot it by a few ulps
+_BOUND_SLACK = 1.0 + 32.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -62,6 +77,12 @@ class SearchDomain:
     def __post_init__(self):
         if self.kind not in ("torus", "sphere", "box"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
+        for name in ("dim", "resolution"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim!r}")
         if self.resolution < 16:
             raise ValueError(f"resolution must be >= 16, got {self.resolution!r}")
         if self.kind == "sphere" and self.dim != 3:
@@ -150,43 +171,175 @@ def _signs(values: np.ndarray) -> np.ndarray:
     return np.where(values > thresh, 1, np.where(values < -thresh, -1, 0))
 
 
-def _grid_distances(sgn: np.ndarray, spacing, periodic: bool) -> np.ndarray:
-    """Per cell of sign +-1, the exact Euclidean distance to the nearest cell
-    of another sign (0 on zeros).
+def _wrap_edt(mine: np.ndarray, spacing, pad):
+    """Per cell of ``mine``, the exact wrap-around distance to the nearest
+    cell outside it, from an EDT of the grid wrap-padded by ``pad`` cells
+    per axis; returns the distances and the pad that gave them.
 
-    A sign with no cells, or with no cells of another sign, is skipped. On
-    the torus each axis is wrap-padded by a width p that starts at
-    ``_TORUS_PAD`` cells (capped at n // 2, the largest nearest-image offset
-    on an axis of n cells) and is sized to the answer. Every padded cell is
-    an image of a real cell, so a padded distance is never below the true
-    wrap-around distance; a true distance of at most p * h has its nearest
-    image within p cells on every axis, inside the pad, and so is found
-    exactly. If the largest central distance exceeds p * h on an axis that
-    is not yet at its cap, the EDT is redone once with p = ceil(max / h) + 1,
-    which bounds every true distance. The second sign starts from the first
-    sign's final pad: the two largest radii are mostly alike.
+    The pad is capped at n // 2, the largest nearest-image offset on an axis
+    of n cells. Every padded cell is an image of a real cell, so a padded
+    distance is never below the true one; a true distance of at most p * h
+    has its nearest image within p cells on every axis, inside the pad, and
+    so is found exactly. If the largest central distance exceeds p * h on an
+    axis not yet at its cap, the EDT is redone once with p = ceil(max / h) +
+    1, which bounds every true distance.
     """
-    radius = np.zeros(sgn.shape)
-    caps = [n // 2 for n in sgn.shape]
-    pad = [min(_TORUS_PAD, c) for c in caps]
+    caps = [n // 2 for n in mine.shape]
+    pad = [min(p, c) for p, c in zip(pad, caps)]
+    while True:
+        padded = np.pad(mine, tuple((p, p) for p in pad), mode="wrap")
+        dist = distance_transform_edt(padded, sampling=spacing)
+        dist = dist[tuple(slice(p, p + n) for p, n in zip(pad, mine.shape))]
+        top = float(dist.max())
+        if all(p == c or top <= p * h for p, c, h in zip(pad, caps, spacing)):
+            return dist, pad
+        pad = [min(math.ceil(top / h) + 1, c) for h, c in zip(spacing, caps)]
+
+
+def _tile_bounds(mine: np.ndarray, spacing, periodic: bool, diag: float):
+    """Upper bounds on the fine distances of ``mine``'s cells, per tile of
+    ``_TILE`` cells per axis: (bounds, tile origins), by decreasing bound
+    (ties by tile index). None on a grid with an odd axis, and where the
+    stride-2 coarse grid has no cell outside ``mine``."""
+    if any(n % 2 for n in mine.shape):
+        return None
+    coarse = mine[(slice(None, None, 2),) * mine.ndim]
+    if coarse.all():
+        return None
+    cspacing = tuple(2.0 * h for h in spacing)
+    if periodic:
+        # one EDT at a fixed wrap pad: its distances are never below the
+        # true ones, which is all a bound needs
+        pad = [min(_TORUS_PAD // 2, n // 2) for n in coarse.shape]
+        dc = distance_transform_edt(np.pad(coarse, [(p, p) for p in pad], mode="wrap"),
+                                    sampling=cspacing)
+        dc = dc[tuple(slice(p, p + n) for p, n in zip(pad, coarse.shape))]
+    else:
+        dc = distance_transform_edt(coarse, sampling=cspacing)
+    step = _TILE // 2
+    for ax in range(dc.ndim):
+        dc = np.maximum.reduceat(dc, np.arange(0, dc.shape[ax], step), axis=ax)
+    bound = (dc.ravel() + diag) * _BOUND_SLACK
+    order = np.argsort(-bound, kind="stable")
+    return bound[order], np.stack(np.unravel_index(order, dc.shape), axis=1) * _TILE
+
+
+def _grid_argmax(sgn: np.ndarray, spacing, periodic: bool):
+    """(flat, r): the lowest flat index among the cells of sign +-1 farthest
+    from a cell of another sign, and that exact Euclidean distance
+    (wrap-around on the torus).
+
+    Equal to the argmax of a full-grid EDT per sign, found coarse to fine.
+    Stride-2 coarse cells of another sign are fine cells of another sign,
+    and every fine cell lies within one grid diagonal h*sqrt(d) of a coarse
+    cell of its tile, so a coarse EDT plus the diagonal bounds the fine
+    distance of every cell of a tile (``_tile_bounds``; a relative slack of
+    a few ulps covers the collinear case, where the bound is met). Tiles
+    are visited by decreasing bound, the best sign's first, and stop at
+    the first bound below the running best r. Each visited tile gets a fine
+    EDT of its window, the tile padded by ceil(bound / h) + 1 cells per
+    axis (wrap-indexed and capped at n // 2 on the torus, clipped in a
+    box): the nearest cell of another sign of every tile cell lies inside
+    it, so the window's distances are exact. Ties go to the lowest flat
+    index; a tile's own argmax is its lowest, as tiles do not wrap.
+
+    A sign takes one EDT of the whole grid (``_wrap_edt`` on the torus, its
+    pad at most the top tile's) when it has no tile bounds, or when the
+    windows still planned would cover more cells than that EDT, counting
+    ``_EDT_CALL_CELLS`` per call. The plan holds the tiles whose bound
+    reaches the running best r; before any fine distance is known, r is
+    estimated as the top bound less one diagonal. A sign with no cells, or
+    with no cells of another sign, is skipped.
+    """
+    shape, d = sgn.shape, sgn.ndim
+    diag = math.sqrt(sum(h * h for h in spacing))
+    caps = np.array([n // 2 for n in shape])
+    best_r, best_flat = 0.0, -1
+    pad = [_TORUS_PAD] * d  # the whole-grid wrap pad, carried from sign to sign
+
+    def offer(dist, origin):
+        nonlocal best_r, best_flat
+        j = int(np.argmax(dist))
+        r = float(dist.flat[j])
+        cell = np.add(np.unravel_index(j, dist.shape), origin)
+        flat = int(np.ravel_multi_index(tuple(cell), shape))
+        if r > best_r or (r == best_r and flat < best_flat):
+            best_r, best_flat = r, flat
+
+    def whole(mine, start):
+        nonlocal pad
+        if periodic:
+            dist, pad = _wrap_edt(mine, spacing, start)
+        else:
+            dist = distance_transform_edt(mine, sampling=spacing)
+        offer(dist, (0,) * d)
+
+    plans = []
     for s in (1, -1):
         mine = sgn == s
-        if not mine.any() or mine.all():
+        if mine.any() and not mine.all():
+            plans.append((mine, _tile_bounds(mine, spacing, periodic, diag)))
+    plans.sort(key=lambda p: -math.inf if p[1] is None else -p[1][0][0])
+    for mine, tiles in plans:
+        if tiles is None:
+            whole(mine, pad)
             continue
-        if not periodic:
-            dist = distance_transform_edt(mine, sampling=spacing)
+        bound, origin = tiles
+        reach = np.ceil(bound[:, None] / np.array(spacing)).astype(np.intp) + 1
+        end = np.minimum(origin + _TILE, shape)
+        if periodic:
+            reach = np.minimum(reach, caps)
+            lo, hi = origin - reach, end + reach
+            whole_cells = np.prod(np.add(shape, 2 * reach[0]))
         else:
-            while True:
-                padded = np.pad(mine, tuple((p, p) for p in pad), mode="wrap")
-                dist = distance_transform_edt(padded, sampling=spacing)
-                dist = dist[tuple(slice(p, p + n) for p, n in zip(pad, sgn.shape))]
-                top = float(dist.max())
-                if all(p == c or top <= p * h for p, c, h in zip(pad, caps, spacing)):
-                    break
-                pad = [min(math.ceil(top / h) + 1, c) for h, c in zip(spacing, caps)]
-        radius[mine] = dist[mine]
-        del dist  # free the padded distances before the next sign's EDT
-    return radius
+            lo, hi = np.maximum(origin - reach, 0), np.minimum(end + reach, shape)
+            whole_cells = mine.size
+        spent = np.concatenate(([0], np.cumsum(np.prod(hi - lo, axis=1) + _EDT_CALL_CELLS)))
+        for k in range(bound.size):
+            if bound[k] < best_r:
+                break
+            last = np.count_nonzero(bound >= (best_r if best_r > 0 else bound[0] - diag))
+            if spent[last] - spent[k] > whole_cells + _EDT_CALL_CELLS:
+                whole(mine, np.minimum(pad, reach[0]))
+                break
+            if periodic:
+                win = mine[np.ix_(*(np.arange(a, b) % n for a, b, n in zip(lo[k], hi[k], shape)))]
+            else:
+                win = mine[tuple(slice(a, b) for a, b in zip(lo[k], hi[k]))]
+            dist = distance_transform_edt(win, sampling=spacing)
+            offer(dist[tuple(slice(a - b, c - b) for a, b, c in zip(origin[k], lo[k], end[k]))], origin[k])
+    return best_flat, best_r
+
+
+def _nearest_other(sgn: np.ndarray, flat: int, r: float, axes, spacing, periodic: bool):
+    """(delta, dist2): the offset from sample ``flat`` to the nearest sample
+    of another sign (nearest image on the torus), the lowest flat index
+    among equals, and its squared length.
+
+    ``r`` is the sample's EDT distance to another sign, so the nearest
+    sample of another sign lies within ceil(r / h) + 1 cells on every axis:
+    only this window is scanned. Its per-axis indices are sorted, so its
+    order is the grid's.
+    """
+    n = sgn.shape[0]
+    idx = np.unravel_index(flat, sgn.shape)
+    near = []
+    for c, h in zip(idx, spacing):
+        w = math.ceil(r / h) + 1
+        if not periodic:
+            near.append(np.arange(max(c - w, 0), min(c + w + 1, n)))
+        elif 2 * w + 1 >= n:
+            near.append(np.arange(n))
+        else:
+            near.append(np.sort((c + np.arange(-w, w + 1)) % n))
+    opp_idx = np.argwhere(sgn[np.ix_(*near)] != sgn.flat[flat])
+    opp_pts = np.stack([axis[ax[i]] for axis, ax, i in zip(axes, near, opp_idx.T)], axis=1)
+    deltas = opp_pts - np.array([axis[k] for axis, k in zip(axes, idx)])
+    if periodic:
+        deltas = (deltas + 0.5) % 1.0 - 0.5  # nearest image
+    dist2 = np.einsum("ij,ij->i", deltas, deltas)
+    j = int(np.argmin(dist2))
+    return deltas[j], float(dist2[j])
 
 
 def _bisect_crossing(eval_line, lo: float, hi: float, steps: int = _REFINE_STEPS):
@@ -256,9 +409,19 @@ def largest_signfree_ball(f, dom: SearchDomain, seed: Optional[int] = None) -> S
 
 def _grid_sample(f, dom: SearchDomain):
     """Sampler of the uniform grid: i/n per axis on the torus, n points from
-    lo to hi per axis in a box. The search centers the ball on the first
-    cell of largest EDT distance and bisects along the segment (t in [0, 1])
-    to its nearest cell of another sign."""
+    lo to hi per axis in a box.
+
+    The search centers the ball on the first cell of largest distance to
+    another sign, found coarse to fine by ``_grid_argmax``: a stride-2
+    coarse EDT plus one grid diagonal bounds the fine distances of each
+    tile, and only tiles whose bound reaches the best distance so far get a
+    fine EDT, of a window padded by that bound, which holds the nearest
+    cell of another sign of every tile cell and so is exact. A sign takes
+    one whole-grid EDT instead when its windows would cover more cells, an
+    axis has odd n, or its coarse grid has no cell of another sign. The
+    search then finds the nearest cell of another sign within that distance
+    of the center (``_nearest_other``) and bisects along the segment (t in
+    [0, 1]) to it."""
     n, d = dom.resolution, dom.dim
     periodic = dom.kind == "torus"
     if periodic:
@@ -280,17 +443,9 @@ def _grid_sample(f, dom: SearchDomain):
         return np.array([axis[k] for axis, k in zip(axes, idx)])
 
     def search(sgn):
-        flat = int(np.argmax(_grid_distances(sgn, spacing, periodic)))  # lowest-index tie-break
+        flat, r = _grid_argmax(sgn, spacing, periodic)
         center = point(flat)
-        # exact nearest sample of another sign, for the refinement direction
-        opp_idx = np.argwhere(sgn != sgn.flat[flat])
-        opp_pts = np.stack([axes[i][opp_idx[:, i]] for i in range(d)], axis=1)
-        deltas = opp_pts - center
-        if periodic:
-            deltas = (deltas + 0.5) % 1.0 - 0.5  # nearest image
-        dist2 = np.einsum("ij,ij->i", deltas, deltas)
-        j = int(np.argmin(dist2))
-        delta = deltas[j]
+        delta, dist2 = _nearest_other(sgn, flat, r, axes, spacing, periodic)
 
         def eval_line(t):
             p = center + t * delta
@@ -298,7 +453,7 @@ def _grid_sample(f, dom: SearchDomain):
                 p = p % 1.0
             return float(_evaluate(f, p[None, :])[0])
 
-        return center, _bisect_crossing(eval_line, 0.0, 1.0) * math.sqrt(float(dist2[j]))
+        return center, _bisect_crossing(eval_line, 0.0, 1.0) * math.sqrt(dist2)
 
     return values, point, diag, search
 

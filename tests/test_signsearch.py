@@ -17,7 +17,8 @@ from nodal_radius.signsearch import (
     _SPHERE_KNN,
     _bisect_crossing,
     _fibonacci_sphere,
-    _grid_distances,
+    _grid_argmax,
+    _nearest_other,
     _signs,
     _sphere_graph_radius,
     _spiral_graph,
@@ -107,20 +108,26 @@ def full_pad_torus_radius(sgn, spacing):
     return radius
 
 
+def radius_argmax(radius):
+    """(flat, r) of the first maximum of a radius array."""
+    flat = int(np.argmax(radius))
+    return flat, float(radius.flat[flat])
+
+
+def edt_shapes(monkeypatch):
+    """Record the input shape of every distance transform signsearch runs."""
+    shapes = []
+
+    def edt(a, **kw):
+        shapes.append(a.shape)
+        return distance_transform_edt(a, **kw)
+
+    monkeypatch.setattr(signsearch, "distance_transform_edt", edt)
+    return shapes
+
+
 class TestTorusDistances:
-    """The answer-sized wrap pad gives the full-pad radius array, element for element."""
-
-    def pads_used(self, monkeypatch, sgn, spacing):
-        shapes = []
-
-        def edt(a, **kw):
-            shapes.append(a.shape)
-            return distance_transform_edt(a, **kw)
-
-        monkeypatch.setattr(signsearch, "distance_transform_edt", edt)
-        got = _grid_distances(sgn, spacing, periodic=True)
-        monkeypatch.undo()
-        return got, [(shape[0] - sgn.shape[0]) // 2 for shape in shapes]
+    """The coarse-to-fine search finds the full-pad radius array's first maximum."""
 
     @pytest.mark.parametrize("dim, n", [(1, 512), (2, 128), (3, 48)])
     def test_random_trig_grids(self, dim, n):
@@ -129,33 +136,40 @@ class TestTorusDistances:
             f = random_trig_poly(rng, dim, max_shells=4, max_norm=8)
             sgn = _signs(f.eval_grid(n))
             spacing = (1.0 / n,) * dim
-            assert np.array_equal(
-                _grid_distances(sgn, spacing, periodic=True),
-                full_pad_torus_radius(sgn, spacing),
+            assert _grid_argmax(sgn, spacing, periodic=True) == radius_argmax(
+                full_pad_torus_radius(sgn, spacing)
             )
 
     def test_first_pad_too_small_grows(self, monkeypatch):
-        # half-periods of cos 2 pi x: distances reach 64 cells of 256
-        n = 256
+        # half-periods of cos 2 pi x: distances reach 64 cells of 255; the
+        # odd n takes the whole-grid EDT, whose first pad is too small
+        n = 255
         sgn = _signs(cosine_1d(1).eval_grid(n))
-        got, pads = self.pads_used(monkeypatch, sgn, (1.0 / n,))
-        assert np.array_equal(got, full_pad_torus_radius(sgn, (1.0 / n,)))
+        shapes = edt_shapes(monkeypatch)
+        got = _grid_argmax(sgn, (1.0 / n,), periodic=True)
+        assert got == radius_argmax(full_pad_torus_radius(sgn, (1.0 / n,)))
+        pads = [(shape[0] - n) // 2 for shape in shapes]
         assert pads[0] == signsearch._TORUS_PAD
         assert signsearch._TORUS_PAD < pads[1] < n // 2
 
     def test_far_region_reaches_cap(self, monkeypatch):
-        # cos 2 pi x1 + cos 2 pi x2 - 1.9: a small positive blob at the origin,
-        # negative elsewhere, so the negative cells' distances reach across
-        # half the torus
-        n = 64
-        x = np.arange(n) / n
-        values = np.cos(2 * np.pi * x)[:, None] + np.cos(2 * np.pi * x)[None, :] - 1.9
-        sgn = _signs(values)
-        assert (sgn == 1).any() and (sgn == -1).any()
-        spacing = (1.0 / n, 1.0 / n)
-        got, pads = self.pads_used(monkeypatch, sgn, spacing)
-        assert np.array_equal(got, full_pad_torus_radius(sgn, spacing))
-        assert n // 2 in pads
+        # a small positive blob at (4, 4) cells, negative elsewhere, so the
+        # negative cells' distances reach across half the torus: the even n
+        # runs one tile window, the odd n the whole grid, and either one's
+        # pad reaches its cap of n // 2 cells
+        for n in (256, 65):
+            x = (np.arange(n) - 4) / n
+            values = np.cos(2 * np.pi * x)[:, None] + np.cos(2 * np.pi * x)[None, :] - 1.9
+            sgn = _signs(values)
+            assert (sgn == 1).any() and (sgn == -1).any()
+            spacing = (1.0 / n, 1.0 / n)
+            shapes = edt_shapes(monkeypatch)
+            got = _grid_argmax(sgn, spacing, periodic=True)
+            monkeypatch.undo()
+            assert got == radius_argmax(full_pad_torus_radius(sgn, spacing))
+            reach = (signsearch._TILE if n % 2 == 0 else n) + 2 * (n // 2)
+            assert (reach, reach) in shapes
+            assert all(max(shape) <= reach for shape in shapes)
 
     def test_sign_without_cells_skipped(self, monkeypatch):
         # positive cells and zeros only: no EDT runs for the negative sign
@@ -169,9 +183,190 @@ class TestTorusDistances:
             return distance_transform_edt(a, **kw)
 
         monkeypatch.setattr(signsearch, "distance_transform_edt", edt)
-        got = _grid_distances(sgn, (1.0 / n,), periodic=True)
-        assert np.array_equal(got, full_pad_torus_radius(sgn, (1.0 / n,)))
+        got = _grid_argmax(sgn, (1.0 / n,), periodic=True)
+        assert got == radius_argmax(full_pad_torus_radius(sgn, (1.0 / n,)))
         assert inputs and all(inputs)
+
+
+class TestTileBounds:
+    """Every fine distance is at most its tile's bound. A collinear case
+    meets the bound exactly, and on these grids rounding would break it by
+    one ulp without the bound's relative slack."""
+
+    @staticmethod
+    def assert_bounds_hold(sgn, spacing, periodic, radius):
+        diag = math.sqrt(sum(h * h for h in spacing))
+        for s in (1, -1):
+            mine = sgn == s
+            tiles = signsearch._tile_bounds(mine, spacing, periodic, diag)
+            if tiles is None:
+                continue
+            for bound, origin in zip(*tiles):
+                cells = tuple(slice(a, a + signsearch._TILE) for a in origin)
+                assert np.where(mine, radius, 0.0)[cells].max() <= bound
+
+    def test_torus(self):
+        rng = np.random.default_rng(3)
+        for n in range(16, 100, 2):
+            for dim in (1, 1, 2):
+                f = random_trig_poly(rng, dim, max_shells=3, max_norm=max(1, n // 20))
+                sgn = _signs(f.eval_grid(n))
+                spacing = (1.0 / n,) * dim
+                self.assert_bounds_hold(sgn, spacing, True, full_pad_torus_radius(sgn, spacing))
+
+    def test_box(self):
+        for n in (64, 130, 256):
+            for sgn, _, spacing, _ in random_box_grids(2, n, 2):
+                radius = np.zeros(sgn.shape)
+                for s in (1, -1):
+                    mine = sgn == s
+                    if mine.any() and not mine.all():
+                        radius[mine] = distance_transform_edt(mine, sampling=spacing)[mine]
+                self.assert_bounds_hold(sgn, spacing, False, radius)
+
+
+def reference_search_step(sgn, axes, spacing, periodic):
+    """Reference: (flat, r, delta, dist2, EDT cells) of the whole-grid
+    search step, an EDT of each sign over the grid (wrap-padded to the
+    answer on the torus), the first maximum of the merged radii, and a scan
+    of every cell of another sign for the nearest one."""
+    radius = np.zeros(sgn.shape)
+    caps = [m // 2 for m in sgn.shape]
+    pad = [min(8, c) for c in caps]
+    cells = 0
+    for s in (1, -1):
+        mine = sgn == s
+        if not mine.any() or mine.all():
+            continue
+        if not periodic:
+            dist = distance_transform_edt(mine, sampling=spacing)
+            cells += mine.size
+        else:
+            while True:
+                padded = np.pad(mine, tuple((p, p) for p in pad), mode="wrap")
+                dist = distance_transform_edt(padded, sampling=spacing)
+                cells += padded.size
+                dist = dist[tuple(slice(p, p + m) for p, m in zip(pad, sgn.shape))]
+                top = float(dist.max())
+                if all(p == c or top <= p * h for p, c, h in zip(pad, caps, spacing)):
+                    break
+                pad = [min(math.ceil(top / h) + 1, c) for h, c in zip(spacing, caps)]
+        radius[mine] = dist[mine]
+    flat, r = radius_argmax(radius)
+    idx = np.unravel_index(flat, sgn.shape)
+    center = np.array([axis[k] for axis, k in zip(axes, idx)])
+    opp_idx = np.argwhere(sgn != sgn.flat[flat])
+    opp_pts = np.stack([axes[i][opp_idx[:, i]] for i in range(sgn.ndim)], axis=1)
+    deltas = opp_pts - center
+    if periodic:
+        deltas = (deltas + 0.5) % 1.0 - 0.5
+    dist2 = np.einsum("ij,ij->i", deltas, deltas)
+    j = int(np.argmin(dist2))
+    return flat, r, deltas[j], float(dist2[j]), cells
+
+
+def torus_grid(values):
+    n, d = values.shape[0], values.ndim
+    return _signs(values), [np.arange(n) / n] * d, (1.0 / n,) * d, True
+
+
+def box_grid(f, dim, n, side):
+    axes = [np.linspace(0.0, side, n)] * dim
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    return _signs(f(pts).reshape((n,) * dim)), axes, (side / (n - 1),) * dim, False
+
+
+def random_torus_grids(dim, n, count, max_norm):
+    rng = np.random.default_rng(100 * dim + n)
+    return [torus_grid(random_trig_poly(rng, dim, max_shells=6, max_norm=max_norm).eval_grid(n))
+            for _ in range(count)]
+
+
+def random_box_grids(dim, n, count):
+    rng = np.random.default_rng(200 * dim + n)
+    grids = []
+    for _ in range(count):
+        mix = random_eigen_mix(rng, dim, max_levels=2, lam_lo=1.0, lam_hi=100.0, max_waves=2)
+        grids.append(box_grid(mix.eval_many, dim, n, 2.0 * bound_theorem3(mix)))
+    return grids
+
+
+def product_grids(n, k):
+    """cos 2 pi k x cos 2 pi k y: every maximum ties with many others, and
+    n divisible by 4k puts exact zeros on whole grid lines."""
+    x = np.arange(n) / n
+    torus = torus_grid(np.cos(2 * np.pi * k * x)[:, None] * np.cos(2 * np.pi * k * x)[None, :])
+    box = box_grid(lambda p: np.cos(2 * np.pi * k * p[:, 0]) * np.cos(2 * np.pi * k * p[:, 1]),
+                   2, n, 1.0)
+    return [torus, box]
+
+
+def zeroed_grids(n):
+    """Random torus and box grids with one cell in twenty set to zero."""
+    rng = np.random.default_rng(n)
+    grids = random_torus_grids(2, n, 1, 12) + random_box_grids(2, n, 1)
+    for sgn, *_ in grids:
+        sgn[rng.random(sgn.shape) < 0.05] = 0
+    return grids
+
+
+def odd_only_grids(n):
+    """Negative cells at odd indices only, on a positive torus and box: the
+    stride-2 coarse grid holds no cell of another sign for the positive
+    sign, and no cell at all for the negative one."""
+    grids = []
+    for periodic in (True, False):
+        sgn = np.ones((n, n), dtype=int)
+        sgn[5, 7] = sgn[41, 13] = sgn[n - 1, 99] = -1
+        axes = [np.arange(n) / n if periodic else np.linspace(0.0, 1.0, n)] * 2
+        spacing = (1.0 / n if periodic else 1.0 / (n - 1),) * 2
+        grids.append((sgn, axes, spacing, periodic))
+    return grids
+
+
+SEARCH_CASES = {
+    "torus-d1-n4096": lambda: random_torus_grids(1, 4096, 4, 40),
+    "torus-d2-n256": lambda: random_torus_grids(2, 256, 4, 12),
+    "torus-d2-n512": lambda: random_torus_grids(2, 512, 2, 20),
+    "torus-d3-n96": lambda: random_torus_grids(3, 96, 1, 4),
+    "box-d2-n256": lambda: random_box_grids(2, 256, 4),
+    "box-d3-n96": lambda: random_box_grids(3, 96, 1),
+    "odd-torus-d2-n255": lambda: random_torus_grids(2, 255, 2, 12),
+    "odd-torus-d3-n47": lambda: random_torus_grids(3, 47, 2, 6),
+    "odd-box-d2-n255": lambda: random_box_grids(2, 255, 2),
+    "ties-n256-k4": lambda: product_grids(256, 4),
+    "ties-n250-k3": lambda: product_grids(250, 3),
+    "zeros-n256": lambda: zeroed_grids(256),
+    "odd-cells-only-n128": lambda: odd_only_grids(128),
+}
+# cases in which some grid must run tile windows, not only whole-grid EDTs
+WINDOWED = {"torus-d1-n4096", "torus-d2-n256", "torus-d2-n512", "torus-d3-n96",
+            "box-d2-n256", "box-d3-n96", "zeros-n256"}
+
+
+class TestCoarseToFineSearch:
+    """The coarse-to-fine search step equals the whole-grid one: the same
+    center cell, distance and refinement cell, bit for bit. Its coarse pass
+    and windows never cost more than half as many cells again, as a sign
+    whose windows would outgrow the whole-grid EDT takes that instead."""
+
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_matches_whole_grid_step(self, monkeypatch, case):
+        windowed = False
+        for sgn, axes, spacing, periodic in SEARCH_CASES[case]():
+            *want, whole_cells = reference_search_step(sgn, axes, spacing, periodic)
+            shapes = edt_shapes(monkeypatch)
+            flat, r = _grid_argmax(sgn, spacing, periodic)
+            monkeypatch.undo()
+            delta, dist2 = _nearest_other(sgn, flat, r, axes, spacing, periodic)
+            assert (flat, r) == tuple(want[:2])
+            assert np.array_equal(delta, want[2]) and dist2 == want[3]
+            assert sum(np.prod(s) for s in shapes) <= 1.5 * whole_cells
+            windowed |= any(np.prod(s) < sgn.size >> sgn.ndim for s in shapes)
+            if case.startswith("odd"):
+                assert not windowed  # odd n or no coarse cells: whole-grid EDTs only
+        assert windowed or case not in WINDOWED
 
 
 def reference_grid_search(f, dom, seed=None):
@@ -396,6 +591,28 @@ class TestSphereSearch:
                 center, r_lower = reference_sphere_search(f, resolution)
                 assert np.allclose(report.center, center, rtol=0.0, atol=1e-12)
                 assert report.r_lower == pytest.approx(r_lower, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("resolution, seed", [(32, 79), (32, 90), (48, 374)])
+    def test_leader_cutoff_pinned(self, resolution, seed):
+        # the leaders are the samples within 10 % of the best graph radius;
+        # on these instances the best exact arc among them differs from the
+        # best among those within 5 % (first two) or 15 % (last), so moving
+        # the 0.9 cutoff either way moves the center
+        f = random_sphere_fn(np.random.default_rng(seed), 3, max_degree=12)
+        pts = _fibonacci_sphere(resolution**2)
+        sgn = _signs(f.eval_many(pts))
+        radius = heap_graph_radius(pts, sgn)
+        order = np.argsort(-radius, kind="stable")
+
+        def winner(cutoff):
+            leaders = [i for i in order[:512] if radius[i] >= cutoff * radius[order[0]]]
+            arcs = [np.arccos(np.clip(np.max(pts[sgn != sgn[i]] @ pts[i]), -1.0, 1.0))
+                    for i in leaders]
+            return leaders[int(np.argmax(arcs))]
+
+        assert winner(0.9) != winner(0.95 if seed != 374 else 0.85)
+        report = largest_signfree_ball(f, SearchDomain.sphere(3, resolution))
+        assert np.array_equal(report.center, pts[winner(0.9)])
 
     def test_all_zero_grid_reported(self):
         report = largest_signfree_ball(
@@ -642,6 +859,26 @@ class TestDomainValidation:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             SearchDomain(kind="plane", dim=2, resolution=32)
+
+    @pytest.mark.parametrize("make", [
+        lambda: SearchDomain.torus(2, 16.5),
+        lambda: SearchDomain.torus(2, 32.0),
+        lambda: SearchDomain.box(2, (0.0, 0.0), (1.0, 1.0), 16.5),
+        lambda: SearchDomain.sphere(3.0, 32),
+        lambda: SearchDomain.torus(0, 32),
+        lambda: SearchDomain.torus(-1, 32),
+        lambda: SearchDomain.torus(1.5, 32),
+        lambda: SearchDomain.box(0, (), (), 32),
+    ])
+    def test_non_integer_or_empty_shape_rejected(self, make):
+        # a fractional resolution would lay out a grid of another spacing
+        # than the report claims; dim < 1 has no grid at all
+        with pytest.raises(ValueError):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        dom = SearchDomain.torus(np.int64(1), np.int64(64))
+        assert largest_signfree_ball(cosine_1d(1), dom).resolution == 64
 
 
 class TestSharpnessProbe:
