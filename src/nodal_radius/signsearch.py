@@ -22,13 +22,15 @@ h*sqrt(d) of a coarse cell, so coarse distance + h*sqrt(d) bounds it. Tiles
 of cells are visited by decreasing bound until the bound falls below the
 best fine distance found; each gets a fine EDT of a window padded by its
 bound, which holds the nearest cell of another sign of every tile cell, so
-the result is exact. A sign falls back to one EDT of the whole grid (on the
-torus wrap-padded only as far as the answer reaches, ``_wrap_edt``) when
-the windows would cover more cells, when an axis has odd n, or when its
-coarse grid holds no cell of another sign. The nearest cell
-of another sign is then looked for within the answer's radius of the
-center. The sphere's graph distances come from one compiled multi-source
-Dijkstra per sign (``scipy.sparse.csgraph``).
+the result is exact. A sign falls back to one distance transform of the
+whole grid when the windows would cover more cells, when an axis has odd
+n, or when its coarse grid holds no cell of another sign: a separable
+min-plus transform in numpy (``_min_plus_edt``), exact per line on axis 0
+and searching the later axes only as far as the top tile bound reaches
+(without tile bounds, from a fixed reach grown once to the answer). The
+nearest cell of another sign is then looked for within the answer's
+radius of the center. The sphere's graph distances come from one compiled
+multi-source Dijkstra per sign (``scipy.sparse.csgraph``).
 
 The reported r_lower is a certificate *at grid resolution*: no sampled
 point within r_lower of the center has the opposite sign; r_upper adds one
@@ -59,6 +61,7 @@ _SPHERE_KNN = 8
 _TORUS_PAD = 8
 _TILE = 8  # cells per axis of a coarse-to-fine search tile (even)
 _EDT_CALL_CELLS = 512  # the fixed cost of one EDT call, in cells
+_SLAB_CELLS = 1 << 15  # cells per slab of the min-plus passes, sized to stay in cache
 # relative slack on a tile bound: a collinear case meets the bound exactly,
 # and rounding may overshoot it by a few ulps
 _BOUND_SLACK = 1.0 + 32.0 * np.finfo(float).eps
@@ -171,29 +174,91 @@ def _signs(values: np.ndarray) -> np.ndarray:
     return np.where(values > thresh, 1, np.where(values < -thresh, -1, 0))
 
 
-def _wrap_edt(mine: np.ndarray, spacing, pad):
-    """Per cell of ``mine``, the exact wrap-around distance to the nearest
-    cell outside it, from an EDT of the grid wrap-padded by ``pad`` cells
-    per axis; returns the distances and the pad that gave them.
+def _min_plus_edt(mine: np.ndarray, spacing, periodic: bool, reach):
+    """Per cell of ``mine``, the exact Euclidean distance to the nearest cell
+    outside it (nearest image on the torus), looked for within ``reach``
+    cells on each axis after the first; returns the distances and the reach
+    that gave them.
 
-    The pad is capped at n // 2, the largest nearest-image offset on an axis
-    of n cells. Every padded cell is an image of a real cell, so a padded
-    distance is never below the true one; a true distance of at most p * h
-    has its nearest image within p cells on every axis, inside the pad, and
-    so is found exactly. If the largest central distance exceeds p * h on an
-    axis not yet at its cap, the EDT is redone once with p = ceil(max / h) +
-    1, which bounds every true distance.
+    Axis 0 takes, per line, the nearest outside cell on either side from
+    running max / min indices (wrapping on the torus), so it is searched
+    whole. Each later axis i is a min-plus pass over |j| <= reach[i]
+    (``_min_plus_axis``), wrap-indexed on the torus and with cells past a
+    box edge at +inf; the passes run on slabs of axis-0 rows, which they do
+    not mix, small enough to stay in cache. A reach is capped at n // 2 on
+    the torus (the largest nearest-image offset) and n - 1 in a box.
+
+    Every candidate is a real cell or image, the squares (j h_i)^2 are added
+    in axis order as scipy's EDT adds them, and float rounding is monotone,
+    so each value is the least of scipy's own float formula over the cells
+    within reach: never above scipy's EDT (below it, by an ulp in the cases
+    seen, where rounding throws scipy's feature choice off at a tie), and
+    never below the true distance.
+    So if the largest value is at most reach[i] * h_i on every axis not at
+    its cap, the result is exact; otherwise the later axes are redone once
+    with reach ceil(max / h) + 1, which bounds every true distance.
     """
-    caps = [n // 2 for n in mine.shape]
-    pad = [min(p, c) for p, c in zip(pad, caps)]
+    shape, d = mine.shape, mine.ndim
+    caps = [n // 2 if periodic else n - 1 for n in shape]
+    n0 = shape[0]
+    i = np.arange(n0, dtype=np.int32).reshape((n0,) + (1,) * (d - 1))
+    far = np.int32(2 * n0)  # farther than any offset on the axis
+    left, right = np.where(mine, -far, i), np.where(mine, far, i)
+    if d == 1:
+        left = np.maximum.accumulate(left)
+        right = np.minimum.accumulate(right[::-1])[::-1]
+    else:
+        # row by row: an accumulate along axis 0 of many lines runs strided
+        for k in range(1, n0):
+            np.maximum(left[k - 1], left[k], out=left[k])
+            np.minimum(right[n0 - k], right[n0 - 1 - k], out=right[n0 - 1 - k])
+    if periodic:
+        # before a line's first outside cell, the nearest one to the left is
+        # the line's last one, one period back; likewise to the right
+        left = np.where(left < 0, left[-1:] - n0, left)
+        right = np.where(right >= n0, right[:1] + n0, right)
+    step = np.minimum(np.minimum(i - left, right - i), n0)
+    sq = np.append((np.arange(n0) * spacing[0]) ** 2, np.inf)
+    axis0 = sq[step]  # step n0 (no outside cell on the line) reads +inf
+    reach = [caps[0]] + [min(r, c) for r, c in zip(reach[1:], caps[1:])]
+    rows = max(1, _SLAB_CELLS * n0 // mine.size)
     while True:
-        padded = np.pad(mine, tuple((p, p) for p in pad), mode="wrap")
-        dist = distance_transform_edt(padded, sampling=spacing)
-        dist = dist[tuple(slice(p, p + n) for p, n in zip(pad, mine.shape))]
+        dist = np.empty(shape)
+        for a in range(0, n0, rows):
+            g = axis0[a:a + rows]
+            for ax in range(1, d):
+                g = _min_plus_axis(g, ax, reach[ax], spacing[ax], periodic)
+            dist[a:a + rows] = g
+        np.sqrt(dist, out=dist)
         top = float(dist.max())
-        if all(p == c or top <= p * h for p, c, h in zip(pad, caps, spacing)):
-            return dist, pad
-        pad = [min(math.ceil(top / h) + 1, c) for h, c in zip(spacing, caps)]
+        if all(r == c or top <= r * h for r, c, h in zip(reach, caps, spacing)):
+            return dist, reach
+        reach = [caps[0]] + [c if not math.isfinite(top) else min(math.ceil(top / h) + 1, c)
+                             for h, c in zip(spacing[1:], caps[1:])]
+
+
+def _min_plus_axis(g: np.ndarray, ax: int, reach: int, h: float, periodic: bool) -> np.ndarray:
+    """min over |j| <= reach of g(x + j e_ax) + (j h)^2, wrap-indexed on the
+    torus and +inf past a box edge. Stops at the first j whose (j h)^2 is at
+    least every value so far, which no later j can lower."""
+    n = g.shape[ax]
+    pad = [(0, 0)] * g.ndim
+    pad[ax] = (reach, reach)
+    gp = np.pad(g, pad, mode="wrap") if periodic else np.pad(g, pad, constant_values=np.inf)
+    out = g.copy()
+    tmp = np.empty_like(g)
+    at = [slice(None)] * g.ndim
+    for j in range(1, reach + 1):
+        jh = j * h
+        if jh * jh >= out.max():
+            break
+        at[ax] = slice(reach + j, reach + j + n)
+        ahead = gp[tuple(at)]
+        at[ax] = slice(reach - j, reach - j + n)
+        np.minimum(ahead, gp[tuple(at)], out=tmp)
+        tmp += jh * jh
+        np.minimum(out, tmp, out=out)
+    return out
 
 
 def _tile_bounds(mine: np.ndarray, spacing, periodic: bool, diag: float):
@@ -243,19 +308,22 @@ def _grid_argmax(sgn: np.ndarray, spacing, periodic: bool):
     it, so the window's distances are exact. Ties go to the lowest flat
     index; a tile's own argmax is its lowest, as tiles do not wrap.
 
-    A sign takes one EDT of the whole grid (``_wrap_edt`` on the torus, its
-    pad at most the top tile's) when it has no tile bounds, or when the
-    windows still planned would cover more cells than that EDT, counting
-    ``_EDT_CALL_CELLS`` per call. The plan holds the tiles whose bound
-    reaches the running best r; before any fine distance is known, r is
-    estimated as the top bound less one diagonal. A sign with no cells, or
-    with no cells of another sign, is skipped.
+    A sign takes one transform of the whole grid (``_min_plus_edt``) when
+    the windows still planned would cover more cells than a whole-grid EDT
+    wrap-padded by the top tile's window pad, counting ``_EDT_CALL_CELLS``
+    per call; its reach is then the top bound in cells, which bounds every
+    distance of the sign, so it does not regrow. A sign without tile bounds
+    also takes the whole grid, from a reach of ``_TORUS_PAD`` cells, carried
+    from sign to sign and grown once if the answer needs it. The plan holds
+    the tiles whose bound reaches the running best r; before any fine
+    distance is known, r is estimated as the top bound less one diagonal. A
+    sign with no cells, or with no cells of another sign, is skipped.
     """
     shape, d = sgn.shape, sgn.ndim
     diag = math.sqrt(sum(h * h for h in spacing))
     caps = np.array([n // 2 for n in shape])
     best_r, best_flat = 0.0, -1
-    pad = [_TORUS_PAD] * d  # the whole-grid wrap pad, carried from sign to sign
+    grown = [_TORUS_PAD] * d  # the whole-grid reach without tile bounds, carried from sign to sign
 
     def offer(dist, origin):
         nonlocal best_r, best_flat
@@ -267,12 +335,9 @@ def _grid_argmax(sgn: np.ndarray, spacing, periodic: bool):
             best_r, best_flat = r, flat
 
     def whole(mine, start):
-        nonlocal pad
-        if periodic:
-            dist, pad = _wrap_edt(mine, spacing, start)
-        else:
-            dist = distance_transform_edt(mine, sampling=spacing)
+        dist, reached = _min_plus_edt(mine, spacing, periodic, start)
         offer(dist, (0,) * d)
+        return reached
 
     plans = []
     for s in (1, -1):
@@ -282,7 +347,7 @@ def _grid_argmax(sgn: np.ndarray, spacing, periodic: bool):
     plans.sort(key=lambda p: -math.inf if p[1] is None else -p[1][0][0])
     for mine, tiles in plans:
         if tiles is None:
-            whole(mine, pad)
+            grown = whole(mine, grown)
             continue
         bound, origin = tiles
         reach = np.ceil(bound[:, None] / np.array(spacing)).astype(np.intp) + 1
@@ -300,7 +365,7 @@ def _grid_argmax(sgn: np.ndarray, spacing, periodic: bool):
                 break
             last = np.count_nonzero(bound >= (best_r if best_r > 0 else bound[0] - diag))
             if spent[last] - spent[k] > whole_cells + _EDT_CALL_CELLS:
-                whole(mine, np.minimum(pad, reach[0]))
+                whole(mine, [math.ceil(bound[0] / h) for h in spacing])
                 break
             if periodic:
                 win = mine[np.ix_(*(np.arange(a, b) % n for a, b, n in zip(lo[k], hi[k], shape)))]
@@ -417,11 +482,12 @@ def _grid_sample(f, dom: SearchDomain):
     tile, and only tiles whose bound reaches the best distance so far get a
     fine EDT, of a window padded by that bound, which holds the nearest
     cell of another sign of every tile cell and so is exact. A sign takes
-    one whole-grid EDT instead when its windows would cover more cells, an
-    axis has odd n, or its coarse grid has no cell of another sign. The
-    search then finds the nearest cell of another sign within that distance
-    of the center (``_nearest_other``) and bisects along the segment (t in
-    [0, 1]) to it."""
+    one whole-grid min-plus transform instead, searched as far as its top
+    tile bound, when its windows would cover more cells, an axis has odd n,
+    or its coarse grid has no cell of another sign. The search then finds
+    the nearest cell of another sign within that distance of the center
+    (``_nearest_other``) and bisects along the segment (t in [0, 1]) to
+    it."""
     n, d = dom.resolution, dom.dim
     periodic = dom.kind == "torus"
     if periodic:

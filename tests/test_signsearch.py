@@ -1,6 +1,7 @@
 """Tests for the sign-free-ball search and the 1D sharpness probe."""
 
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -115,15 +116,38 @@ def radius_argmax(radius):
 
 
 def edt_shapes(monkeypatch):
-    """Record the input shape of every distance transform signsearch runs."""
+    """Record the input shape of every distance transform signsearch runs:
+    scipy's EDT on coarse grids and windows, and the whole-grid min-plus
+    transform."""
     shapes = []
+    min_plus = signsearch._min_plus_edt
 
     def edt(a, **kw):
         shapes.append(a.shape)
         return distance_transform_edt(a, **kw)
 
+    def whole(mine, *args):
+        shapes.append(mine.shape)
+        return min_plus(mine, *args)
+
     monkeypatch.setattr(signsearch, "distance_transform_edt", edt)
+    monkeypatch.setattr(signsearch, "_min_plus_edt", whole)
     return shapes
+
+
+def min_plus_reaches(monkeypatch):
+    """Record (start reach, final reach) of every whole-grid min-plus
+    transform signsearch runs."""
+    reaches = []
+    min_plus = signsearch._min_plus_edt
+
+    def whole(mine, spacing, periodic, reach):
+        dist, grown = min_plus(mine, spacing, periodic, reach)
+        reaches.append((list(reach), list(grown)))
+        return dist, grown
+
+    monkeypatch.setattr(signsearch, "_min_plus_edt", whole)
+    return reaches
 
 
 class TestTorusDistances:
@@ -141,22 +165,26 @@ class TestTorusDistances:
             )
 
     def test_first_pad_too_small_grows(self, monkeypatch):
-        # half-periods of cos 2 pi x: distances reach 64 cells of 255; the
-        # odd n takes the whole-grid EDT, whose first pad is too small
+        # quadrants of cos 2 pi x cos 2 pi y: distances reach 64 cells of 255;
+        # the odd n takes the whole-grid transform, whose first reach is too
+        # small on axis 1; the second sign starts from the grown reach
         n = 255
-        sgn = _signs(cosine_1d(1).eval_grid(n))
-        shapes = edt_shapes(monkeypatch)
-        got = _grid_argmax(sgn, (1.0 / n,), periodic=True)
-        assert got == radius_argmax(full_pad_torus_radius(sgn, (1.0 / n,)))
-        pads = [(shape[0] - n) // 2 for shape in shapes]
-        assert pads[0] == signsearch._TORUS_PAD
-        assert signsearch._TORUS_PAD < pads[1] < n // 2
+        x = np.arange(n) / n
+        sgn = _signs(np.cos(2 * np.pi * x)[:, None] * np.cos(2 * np.pi * x)[None, :])
+        spacing = (1.0 / n, 1.0 / n)
+        reaches = min_plus_reaches(monkeypatch)
+        got = _grid_argmax(sgn, spacing, periodic=True)
+        assert got == radius_argmax(full_pad_torus_radius(sgn, spacing))
+        (start, grown), (second, _) = reaches
+        assert start[1] == signsearch._TORUS_PAD
+        assert signsearch._TORUS_PAD < grown[1] < n // 2
+        assert second == grown
 
     def test_far_region_reaches_cap(self, monkeypatch):
         # a small positive blob at (4, 4) cells, negative elsewhere, so the
         # negative cells' distances reach across half the torus: the even n
-        # runs one tile window, the odd n the whole grid, and either one's
-        # pad reaches its cap of n // 2 cells
+        # runs one tile window, whose pad reaches its cap of n // 2 cells, and
+        # the odd n the whole-grid transform, whose reach reaches that cap
         for n in (256, 65):
             x = (np.arange(n) - 4) / n
             values = np.cos(2 * np.pi * x)[:, None] + np.cos(2 * np.pi * x)[None, :] - 1.9
@@ -164,12 +192,17 @@ class TestTorusDistances:
             assert (sgn == 1).any() and (sgn == -1).any()
             spacing = (1.0 / n, 1.0 / n)
             shapes = edt_shapes(monkeypatch)
+            reaches = min_plus_reaches(monkeypatch)
             got = _grid_argmax(sgn, spacing, periodic=True)
             monkeypatch.undo()
             assert got == radius_argmax(full_pad_torus_radius(sgn, spacing))
-            reach = (signsearch._TILE if n % 2 == 0 else n) + 2 * (n // 2)
-            assert (reach, reach) in shapes
-            assert all(max(shape) <= reach for shape in shapes)
+            if n % 2 == 0:
+                window = signsearch._TILE + 2 * (n // 2)
+                assert (window, window) in shapes
+                assert all(max(shape) <= window for shape in shapes)
+                assert not reaches
+            else:
+                assert any(grown[1] == n // 2 for _, grown in reaches)
 
     def test_sign_without_cells_skipped(self, monkeypatch):
         # positive cells and zeros only: no EDT runs for the negative sign
@@ -325,6 +358,19 @@ def odd_only_grids(n):
     return grids
 
 
+def multi_cosine_torus_grids(n, n_terms, max_norm, seed):
+    """A 3-D torus of n_terms cosines with distinct frequencies: many tiles
+    reach the answer, so every sign falls back to the whole grid."""
+    rng = np.random.default_rng(seed)
+    terms, seen = [], set()
+    while len(terms) < n_terms:
+        k = tuple(int(c) for c in rng.integers(-max_norm, max_norm + 1, size=3))
+        if 0 < sum(c * c for c in k) <= max_norm**2 and k not in seen:
+            seen.update((k, tuple(-c for c in k)))
+            terms.append((k, float(rng.normal()), float(rng.uniform(0.0, 2.0 * math.pi))))
+    return [torus_grid(TrigPoly.from_cosines(3, terms).eval_grid(n))]
+
+
 SEARCH_CASES = {
     "torus-d1-n4096": lambda: random_torus_grids(1, 4096, 4, 40),
     "torus-d2-n256": lambda: random_torus_grids(2, 256, 4, 12),
@@ -339,6 +385,7 @@ SEARCH_CASES = {
     "ties-n250-k3": lambda: product_grids(250, 3),
     "zeros-n256": lambda: zeroed_grids(256),
     "odd-cells-only-n128": lambda: odd_only_grids(128),
+    "fallback-torus-d3-n96": lambda: multi_cosine_torus_grids(96, 8, 10, 0),
 }
 # cases in which some grid must run tile windows, not only whole-grid EDTs
 WINDOWED = {"torus-d1-n4096", "torus-d2-n256", "torus-d2-n512", "torus-d3-n96",
@@ -367,6 +414,126 @@ class TestCoarseToFineSearch:
             if case.startswith("odd"):
                 assert not windowed  # odd n or no coarse cells: whole-grid EDTs only
         assert windowed or case not in WINDOWED
+
+    def test_fallback_reach_from_bound(self, monkeypatch):
+        # both signs of the multi-term torus fall back to the whole grid; each
+        # transform's reach is the top tile bound in cells, which bounds every
+        # distance, so none regrows
+        ((sgn, _, spacing, periodic),) = SEARCH_CASES["fallback-torus-d3-n96"]()
+        diag = math.sqrt(sum(h * h for h in spacing))
+        reaches = min_plus_reaches(monkeypatch)
+        _grid_argmax(sgn, spacing, periodic)
+        monkeypatch.undo()
+        want = []
+        for s in (1, -1):
+            top = signsearch._tile_bounds(sgn == s, spacing, periodic, diag)[0][0]
+            want.append([math.ceil(top / h) for h in spacing[1:]])
+        assert len(reaches) == 2
+        for start, grown in reaches:
+            assert grown[1:] == start[1:]
+        assert sorted(start[1:] for start, _ in reaches) == sorted(want)
+
+
+def brute_distances(mine, spacing, periodic):
+    """Reference: per cell of ``mine``, the least over every cell outside it
+    (and, on the torus, every image of one within a period on each axis) of
+    scipy's float formula, the squared steps (Delta_i h_i)^2 added in axis
+    order, and its square root; 0 outside ``mine``."""
+    out = np.zeros(mine.shape)
+    others = np.argwhere(~mine)
+    shifts = [(-n, 0, n) if periodic else (0,) for n in mine.shape]
+    images = np.concatenate([others + np.array(shift) for shift in itertools.product(*shifts)])
+    for cell in np.argwhere(mine):
+        delta = (images - cell).astype(float)
+        total = np.zeros(len(images))
+        for ax, h in enumerate(spacing):
+            step = delta[:, ax] * h
+            total = total + step * step
+        out[tuple(cell)] = math.sqrt(total.min())
+    return out
+
+
+def scipy_distances(mine, spacing, periodic):
+    """scipy's EDT of ``mine``; on the torus of the grid wrap-padded by n // 2."""
+    if not periodic:
+        return distance_transform_edt(mine, sampling=spacing)
+    pad = [n // 2 for n in mine.shape]
+    dist = distance_transform_edt(np.pad(mine, [(p, p) for p in pad], mode="wrap"), sampling=spacing)
+    return dist[tuple(slice(p, p + n) for p, n in zip(pad, mine.shape))]
+
+
+def smooth_sign_field(shape, seed, zeros=False):
+    """Signs of a few random cosines over the grid, optionally with one cell
+    in ten zeroed."""
+    rng = np.random.default_rng(seed)
+    axes = np.meshgrid(*[np.arange(n) / n for n in shape], indexing="ij")
+    values = sum(rng.normal() * np.cos(2 * np.pi * sum(int(rng.integers(-2, 3)) * a for a in axes)
+                                       + rng.uniform(0, 2 * np.pi)) for _ in range(3))
+    sgn = _signs(values + 0.3)
+    if zeros:
+        sgn[rng.random(shape) < 0.1] = 0
+    return sgn
+
+
+# (shape, box spacing): even and odd n, and box spacings that differ per axis
+KERNEL_SHAPES = [((64,), (0.3,)), ((65,), (0.3,)), ((24, 24), (0.2, 0.2)), ((23, 25), (0.11, 0.37)),
+                 ((10, 10, 10), (0.5, 0.5, 0.5)), ((9, 10, 11), (0.05, 0.3, 0.17))]
+
+
+class TestMinPlusEdt:
+    """The whole-grid min-plus transform equals an independent brute-force
+    minimum of scipy's float formula, is never above scipy's EDT, and grows
+    a reach too small for the answer up to its cap."""
+
+    @staticmethod
+    def check(mine, spacing, periodic, reach):
+        dist, grown = signsearch._min_plus_edt(mine, spacing, periodic, reach)
+        assert np.array_equal(dist, brute_distances(mine, spacing, periodic))
+        assert np.all(dist <= scipy_distances(mine, spacing, periodic))
+        return grown
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("shape, box_spacing", KERNEL_SHAPES)
+    def test_matches_brute_force(self, shape, box_spacing, periodic):
+        spacing = tuple(1.0 / n for n in shape) if periodic else box_spacing
+        caps = [n // 2 if periodic else n - 1 for n in shape]
+        for seed, zeros in ((1, False), (2, True), (3, False)):
+            sgn = smooth_sign_field(shape, seed + len(shape), zeros)
+            for s in (1, -1):
+                mine = sgn == s
+                if mine.any() and not mine.all():
+                    for reach in ([1] * len(shape), caps):
+                        self.check(mine, spacing, periodic, reach)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("shape, box_spacing", KERNEL_SHAPES[2:])
+    def test_far_cells_reach_cap(self, shape, box_spacing, periodic):
+        # one outside cell: most axis-0 lines hold no outside cell (+inf after
+        # axis 0), and the far cells' distances need every reach at its cap
+        spacing = tuple(1.0 / n for n in shape) if periodic else box_spacing
+        mine = np.ones(shape, dtype=bool)
+        mine[(1,) * len(shape)] = False
+        grown = self.check(mine, spacing, periodic, [1] * len(shape))
+        assert grown == [n // 2 if periodic else n - 1 for n in shape]
+
+    def test_odd_reach_regrows_once(self, monkeypatch):
+        # a reach of one cell on an odd torus is too small; it grows once, to
+        # at least the answer in cells and short of the cap
+        shape = (25, 25)
+        spacing = (1.0 / 25, 1.0 / 25)
+        mine = smooth_sign_field(shape, 5) == 1
+        passes = []
+        min_plus_axis = signsearch._min_plus_axis
+
+        def axis_pass(g, ax, reach, h, periodic):
+            passes.append(reach)
+            return min_plus_axis(g, ax, reach, h, periodic)
+
+        monkeypatch.setattr(signsearch, "_min_plus_axis", axis_pass)
+        grown = self.check(mine, spacing, True, [1, 1])
+        top = float(brute_distances(mine, spacing, True).max())
+        assert math.ceil(top / spacing[1]) <= grown[1] < 25 // 2
+        assert passes == [1, grown[1]]
 
 
 def reference_grid_search(f, dom, seed=None):
