@@ -213,9 +213,7 @@ def _run_analyze_mix(cfg: RunConfig):
     rows, ok = _bound_rows(mix, dom, [("theorem3", bound)], cfg.seed)
     if cfg.emit_svg and mix.dim == 2:
         axes = np.linspace(0.0, L, min(res, 256))
-        mesh = np.meshgrid(axes, axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        grid = mix.eval_many(pts).reshape(len(axes), len(axes))
+        grid = signsearch._wave_grid(mix, [axes, axes])
         svgplot.sign_raster_svg(grid, Path(cfg.output_dir) / "sign_raster.svg")
     return [("signsearch", SIGN_HEADER, rows)], ok, []
 

@@ -33,8 +33,11 @@ radius of the center. The sphere's graph distances come from one compiled
 multi-source Dijkstra per sign (``scipy.sparse.csgraph``).
 
 The reported r_lower is a certificate *at grid resolution*: no sampled
-point within r_lower of the center has the opposite sign; r_upper adds one
-grid diagonal as an upper estimate of the true maximum.
+point within r_lower of the center has the opposite sign. r_upper adds one
+grid diagonal to it as an estimate of the true maximum, not a proven upper
+bound: the bisected radius can fall below the center's grid distance when
+the grid misses a sign change near the center, and a ball about another
+center may then be larger than r_upper.
 
 Randomized stress instances use numpy's PCG64 generator; every report
 records the seed that produced it.
@@ -42,6 +45,7 @@ records the seed that produced it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -53,7 +57,7 @@ from scipy.spatial import cKDTree
 
 from .eigenid import EigenMix, PlaneWaveEigen
 from .sphere import SphereFn, ZonalTerm
-from .torus import TrigPoly
+from .torus import TrigPoly, _cosine_grid
 
 _NEAR_ZERO = 1e-12
 _REFINE_STEPS = 40
@@ -125,7 +129,13 @@ class SearchDomain:
 
 @dataclass
 class SignBallReport:
-    """Largest empirical sign-free ball versus a theoretical bound."""
+    """Largest empirical sign-free ball versus a theoretical bound.
+
+    ``r_lower`` is certified at grid resolution: no sample within it of
+    ``center`` has the opposite sign. ``r_upper`` is r_lower plus one grid
+    diagonal, an estimate of the true largest radius and not a proven bound
+    on it (the grid can miss a sign change near the center).
+    """
 
     center: tuple
     r_lower: float
@@ -440,7 +450,8 @@ def largest_signfree_ball(f, dom: SearchDomain, seed: Optional[int] = None) -> S
        maximizing center, and sharpens the radius by bisecting toward its
        nearest sign change.
 
-    Every report is built in one place; r_upper adds one grid diagonal.
+    Every report is built in one place; r_upper adds one grid diagonal, an
+    estimate and not a proven bound (see ``SignBallReport``).
     """
     sample = _sphere_sample if dom.kind == "sphere" else _grid_sample
     values, point, diag, search = sample(f, dom)
@@ -476,6 +487,13 @@ def _grid_sample(f, dom: SearchDomain):
     """Sampler of the uniform grid: i/n per axis on the torus, n points from
     lo to hi per axis in a box.
 
+    A TrigPoly on the torus is sampled by ``TrigPoly.eval_grid``, and an
+    EigenMix or PlaneWaveEigen by ``_wave_grid``: both sum their cosines on
+    the product grid with the separable kernel ``torus._cosine_grid`` (an
+    exponential table per axis and one real matrix product), without
+    building the grid's points. Only a plain callable is evaluated on a
+    meshgrid of (N, d) points.
+
     The search centers the ball on the first cell of largest distance to
     another sign, found coarse to fine by ``_grid_argmax``: a stride-2
     coarse EDT plus one grid diagonal bounds the fine distances of each
@@ -498,6 +516,8 @@ def _grid_sample(f, dom: SearchDomain):
         spacing = tuple((dom.hi[i] - dom.lo[i]) / (n - 1) for i in range(d))
     if periodic and isinstance(f, TrigPoly) and f.dim == d:
         values = f.eval_grid(n)
+    elif isinstance(f, (EigenMix, PlaneWaveEigen)) and f.dim == d:
+        values = _wave_grid(f, axes)
     else:
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -522,6 +542,15 @@ def _grid_sample(f, dom: SearchDomain):
         return center, _bisect_crossing(eval_line, 0.0, 1.0) * math.sqrt(dist2)
 
     return values, point, diag, search
+
+
+def _wave_grid(f, axes) -> np.ndarray:
+    """Values of an EigenMix or PlaneWaveEigen on the product grid of
+    ``axes``: each wave c * amp * cos(<k, x> + phase) is the real part of
+    c * amp * e^(i phase) prod_i e^(i k_i x_i), summed by ``_cosine_grid``."""
+    parts = f.parts if isinstance(f, EigenMix) else ((1.0, f),)
+    waves = [(k, c * amp * cmath.exp(1j * phase)) for c, p in parts for k, amp, phase in p.waves]
+    return _cosine_grid(axes, [k for k, _ in waves], [a for _, a in waves])
 
 
 def _fibonacci_sphere(n_points: int) -> np.ndarray:

@@ -35,6 +35,26 @@ def _neg(k: tuple) -> tuple:
     return tuple(-c for c in k)
 
 
+def _cosine_grid(axes, ks, coefs) -> np.ndarray:
+    """Re sum_w c_w prod_i exp(i k_{w,i} x_i) on the product grid of ``axes``.
+
+    ``ks`` is a (W, d) array of angular frequencies and ``coefs`` holds the
+    W complex coefficients; the result has shape (len(axes[0]), ...,
+    len(axes[-1])). Each axis gets a (W, n_i) table of exp(i k_{w,i} x_i);
+    the leading axes' tables are multiplied out, coefficient first, into
+    (W, n_0 ... n_{d-2}) products, and one real matrix product with the
+    last axis's table sums over w.
+    """
+    ks = np.asarray(ks, dtype=float)
+    tables = [np.exp(1j * np.multiply.outer(ks[:, i], x)) for i, x in enumerate(axes)]
+    lead = np.asarray(coefs, dtype=complex)[:, None]
+    for tab in tables[:-1]:
+        lead = (lead[:, :, None] * tab[:, None, :]).reshape(len(lead), -1)
+    last = tables[-1]
+    out = lead.real.T @ last.real - lead.imag.T @ last.imag
+    return out.reshape([len(x) for x in axes])
+
+
 class TrigPoly:
     """Real-valued trigonometric polynomial sum_k a_k exp(2 pi i <k, x>).
 
@@ -106,31 +126,15 @@ class TrigPoly:
     def eval_grid(self, resolution: int) -> np.ndarray:
         """Values on the uniform grid (i_1/N, ..., i_d/N), shape (N,)*dim.
 
-        Uses per-axis complex exponential tables, so the cost is one
-        rank-1 accumulation per stored frequency.
+        Sampled by the separable kernel ``_cosine_grid`` with one term per
+        +-k pair: the representative k at angular frequency 2 pi k with
+        coefficient a_k + conj(a_{-k}), whose real part is that of the pair
+        even where the table is Hermitian only to within ``_HERMITIAN_TOL``.
         """
         n = int(resolution)
-        axis = np.arange(n) / n
-        out = np.zeros((n,) * self.dim, dtype=complex)
-        cache: dict = {}
-        for k, a in self.coeffs.items():
-            factors = []
-            for comp in k:
-                tab = cache.get(comp)
-                if tab is None:
-                    tab = np.exp(2j * np.pi * comp * axis)
-                    cache[comp] = tab
-                factors.append(tab)
-            if self.dim == 1:
-                out += a * factors[0]
-            elif self.dim == 2:
-                out += a * np.multiply.outer(factors[0], factors[1])
-            else:
-                term = factors[0]
-                for fac in factors[1:]:
-                    term = np.multiply.outer(term, fac)
-                out += a * term
-        return out.real
+        reps = [k for k in self.coeffs if _is_representative(k)]
+        coefs = [self.coeffs[k] + self.coeffs[_neg(k)].conjugate() for k in reps]
+        return _cosine_grid([np.arange(n) / n] * self.dim, 2.0 * np.pi * np.array(reps), coefs)
 
     def shells(self) -> "ShellSet":
         return shells(self)

@@ -536,6 +536,19 @@ class TestMinPlusEdt:
         assert passes == [1, grown[1]]
 
 
+def reference_trig_grid(f, n):
+    """Reference TrigPoly grid values: one complex outer product of per-axis
+    exponential tables per stored key, k and -k alike."""
+    axis = np.arange(n) / n
+    out = np.zeros((n,) * f.dim, dtype=complex)
+    for k, a in f.coeffs.items():
+        term = np.exp(2j * np.pi * k[0] * axis)
+        for comp in k[1:]:
+            term = np.multiply.outer(term, np.exp(2j * np.pi * comp * axis))
+        out += a * term
+    return out.real
+
+
 def reference_grid_search(f, dom, seed=None):
     """Reference: the torus and box search in one function, with a distance
     array per sign, an argmax over their merge and a report per outcome."""
@@ -552,7 +565,7 @@ def reference_grid_search(f, dom, seed=None):
         axes = [np.linspace(dom.lo[i], dom.hi[i], n) for i in range(d)]
         spacing = tuple((dom.hi[i] - dom.lo[i]) / (n - 1) for i in range(d))
     if periodic and isinstance(f, TrigPoly) and f.dim == d:
-        values = f.eval_grid(n)
+        values = reference_trig_grid(f, n)
     else:
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -638,6 +651,35 @@ class TestGridSearchReference:
             dom = SearchDomain.box(dim, (0.0,) * dim, (L,) * dim, n)
             for g in (mix, lambda pts: mix.eval_many(pts)):
                 assert largest_signfree_ball(g, dom, seed=3) == reference_grid_search(g, dom, 3)
+
+
+class TestGridSampling:
+    """The sampler's separable kernel against point evaluation."""
+
+    @pytest.mark.parametrize("dim, n", [(2, 48), (3, 16)])
+    def test_box_waves_match_point_evaluation(self, dim, n):
+        rng = np.random.default_rng(90 + dim)
+        lo = (-1.5, 0.25, 2.0)[:dim]
+        hi = (2.5, 1.0, 9.0)[:dim]
+        dom = SearchDomain.box(dim, lo, hi, n)
+        mesh = np.meshgrid(*[np.linspace(a, b, n) for a, b in zip(lo, hi)], indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        for _ in range(3):
+            mix = random_eigen_mix(rng, dim, max_levels=3, lam_lo=1.0, lam_hi=40.0)
+            for f in (mix, mix.parts[-1][1]):
+                parts = f.parts if isinstance(f, EigenMix) else ((1.0, f),)
+                scale = sum(abs(c * a) for c, p in parts for _, a, _ in p.waves)
+                values = signsearch._grid_sample(f, dom)[0]
+                want = f.eval_many(pts).reshape(values.shape)
+                assert np.max(np.abs(values - want)) <= 1e-13 * scale
+
+    def test_exact_zero_lines_keep_their_signs(self):
+        # cos(2 pi 4 x) cos(2 pi 4 y) vanishes on the grid lines i = 16 mod 32
+        f = TrigPoly.from_cosines(2, [((4, 4), 0.5, 0.0), ((4, -4), 0.5, 0.0)])
+        sgn = _signs(f.eval_grid(256))
+        assert np.array_equal(sgn, _signs(reference_trig_grid(f, 256)))
+        assert not sgn[16::32].any() and not sgn[:, 16::32].any()
+        assert np.count_nonzero(sgn) == (256 - 8) ** 2
 
 
 class TestBoxSearch:

@@ -111,6 +111,45 @@ class TestEval:
                 assert grid[i, j] == pytest.approx(f.eval((i / n, j / n)), abs=1e-12)
 
 
+class TestEvalGridKernel:
+    """eval_grid, which sums one term per +-k pair with the separable kernel,
+    agrees with eval_many point by point to 1e-13 of sum |a_k|."""
+
+    @staticmethod
+    def check(f, n):
+        grid = f.eval_grid(n)
+        assert grid.shape == (n,) * f.dim
+        mesh = np.meshgrid(*[np.arange(n) / n] * f.dim, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        want = f.eval_many(pts).reshape(grid.shape)
+        scale = sum(abs(a) for a in f.coeffs.values())
+        assert np.max(np.abs(grid - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("d, n", [(1, 128), (2, 32), (3, 12)])
+    def test_random_polys(self, d, n):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(5):
+            self.check(_random_poly(rng, d), n)
+
+    def test_zero_components(self):
+        self.check(TrigPoly.from_cosines(2, [((0, 3), 0.8, 0.4), ((2, 0), -0.5, 1.0)]), 24)
+        self.check(TrigPoly.from_cosines(3, [((0, 0, 2), 1.0, 0.2), ((0, 3, -1), 0.6, -0.7)]), 10)
+
+    def test_high_frequency_1d(self):
+        self.check(TrigPoly.from_cosines(1, [((40,), 1.0, 0.3), ((7,), 0.5, 2.0)]), 4096)
+
+    def test_hermitian_defect(self):
+        # ten small pairs with a_{-k} = conj(a_k) + 1e-13, inside the
+        # constructor's tolerance: a_k + conj(a_{-k}) keeps the defect, while
+        # 2 a_k per pair would be 1e-12 off at x = 0
+        table = {(1,): 0.5, (-1,): 0.5}
+        for j in range(2, 12):
+            a = 1e-3 * complex(math.cos(j), math.sin(j))
+            table[(j,)] = a
+            table[(-j,)] = a.conjugate() + 1e-13
+        self.check(TrigPoly(1, table), 64)
+
+
 class TestShells:
     def test_merging_equal_norms(self):
         f = TrigPoly(2, {(3, 4): 1.0, (-3, -4): 1.0, (5, 0): 0.5, (-5, 0): 0.5})
