@@ -3,24 +3,23 @@
 Eigenfunctions are realized as finite sums of plane waves sharing one
 frequency norm sqrt(lambda); mixes combine finitely many eigenvalue levels.
 The module computes the Coulomb-kernel ball integral of an eigenfunction by
-honest nested quadrature (radial Gauss-Legendre times a product rule on the
+honest nested quadrature (radial Gauss-Legendre times a polar rule on the
 sphere of directions), the universal radial profile Q_n that the integral
 must reproduce, the ODE residual satisfied by the radial derivative profile,
 and the closed-form/Kirchhoff/Poisson solutions of the driven wave equation
 used in the degree-lowering argument for eigenfunction mixes.
 
-Every shell sum, the weighted sum of phi over the product-rule grid of the
-sphere of radius s about x, comes from ``_shell_sums``. Since
-phi(x + s omega) = sum amp cos(<k, x> + phase + s <k, omega>) and the grid
-maps onto itself under omega -> -omega, each wave contributes
-amp cos(<k, x> + phase) F(s k) with F(v) = sum_j w_j cos<v, omega_j>. F is
-summed over the rule's folded half axes (``sphere.sphere_grid_factors``),
-one polar angle at a time, with 2^(n-1) times fewer full-size cosines than
-the whole grid. The grid points themselves are never formed, and the values
-are those of phi's own definition at the rule's nodes, not the closed-form
-Bessel mean that the identity check compares against. ``poisson_2d``
-likewise takes each wave's projection onto its disk rule instead of the
-disk points.
+Every shell sum, the integral of phi over the sphere of radius s about x,
+comes from ``_shell_sums``. In a frame whose pole is k/|k|, the integral of
+one wave amp cos(<k, x> + phase + s <k, omega>) over the unit sphere is
+amp cos(<k, x> + phase) |S^(n-2)| int_0^pi sin^(n-2)(t) cos(s |k| cos t) dt,
+the sine part being odd under omega -> -omega. Every wave has |k| =
+sqrt(lambda), so the shell sum is phi(x) times one 1-D integral over the
+polar angle t, taken by Gauss-Legendre on [0, pi] whose order climbs the
+one ladder ``_POLAR_LADDER`` in every dimension. The quadrature is that of
+phi's own definition, not the closed-form Bessel mean that the identity
+check compares against. ``poisson_2d`` takes its disk angle from the same
+shell sums in n = 2.
 
 Sign convention: wave_factor(lam, t) = (cos(sqrt(lam) t) - 1)/lam, and
 kirchhoff_3d / poisson_2d return the wave field matching that factor; the
@@ -31,34 +30,17 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 
 import numpy as np
 
-from .specfun import AccuracyError, ball_volume, bessel_j, gamma_fn, gauss_legendre, quad_adaptive
-from .sphere import sphere_grid_factors
+from .specfun import AccuracyError, bessel_j, gamma_fn, gauss_legendre, quad_adaptive, sphere_surface
 
 _LAMBDA_TOL = 1e-10
 
-# polar-angle order ladders per dimension; grids grow like order^(n-2)
-_ANGULAR_LADDERS = {
-    2: (32, 64, 128, 256, 512),
-    3: (16, 24, 36, 54, 81, 122),
-    4: (12, 17, 24, 34, 48),
-    5: (10, 14, 19, 26),
-    6: (9, 12, 16, 21),
-    7: (8, 11, 14),
-    8: (7, 10, 13),
-}
+# Gauss-Legendre orders of the polar rule on [0, pi], shared by every n
+_POLAR_LADDER = (16, 24, 32, 48, 64, 96, 128, 192)
 _RADIAL_LADDER = (32, 48, 64, 96)
-# elements of one cosine array in _shell_sums and poisson_2d (8 MB)
-_SHELL_BLOCK = 1 << 20
-
-
-def _angular_ladder(n: int):
-    try:
-        return _ANGULAR_LADDERS[n]
-    except KeyError:
-        raise ValueError(f"spherical quadrature ladders cover 2 <= n <= 8, got n={n}")
 
 
 class PlaneWaveEigen:
@@ -188,7 +170,7 @@ class EigenMix:
 
 
 def qn_prefactor(n: int) -> float:
-    return 2.0 ** ((n - 2) / 2.0) * gamma_fn(n / 2.0) * n * ball_volume(n)
+    return 2.0 ** ((n - 2) / 2.0) * gamma_fn(n / 2.0) * sphere_surface(n)
 
 
 def _qn_integrand(n: int):
@@ -232,72 +214,65 @@ def _wave_scale(phi) -> float:
 
 
 def _shell_sums(phi: PlaneWaveEigen, x, radii, order: int) -> np.ndarray:
-    """sum_j w_j phi(x + s omega_j) for each s in radii, on the grid
-    ``unit_sphere_grid(n, order)``, whose weights sum to the surface area.
+    """int over the unit sphere of phi(x + s omega) d omega, for each s in radii.
 
-    The grid maps onto itself under omega -> -omega, so per wave
-    sum_j w_j cos(c + s <k, omega_j>) = cos(c) F(s k) with
-    F(v) = sum_j w_j cos<v, omega_j>, c = <k, x> + phase. F is summed over
-    the rule's folded half axes (``SphereGridFactors.folded_weights``):
-    pairing t0 with pi - t0 gives
-    F(v) = sum_{t0 <= pi/2} 2 w0 cos(v0 cos t0) F'(sin t0 v'), level by
-    level, down to the half azimuth, where phi pairs with phi + pi. That
-    takes 2^(n-1) times fewer full-size cosines than the whole grid. The
-    radii are taken in blocks whose innermost cosine array has at most
-    ``_SHELL_BLOCK`` elements, or one radius's worth if that is larger.
+    In a frame whose pole is k/|k|, each wave integrates to
+    amp cos(<k, x> + phase) |S^(n-2)| int_0^pi sin^(n-2)(t) cos(s |k| cos t) dt.
+    Every |k| is sqrt(lambda), so the waves' factors sum to phi(x), taken
+    once, times one Gauss-Legendre rule of ``order`` nodes on [0, pi] with
+    weights w_t sin^(n-2)(t) |S^(n-2)|. The sums are even in s.
     """
-    grid = sphere_grid_factors(phi.dim, order)
+    n = phi.dim
+    rule = gauss_legendre(order, 0.0, math.pi)
+    weights = rule.weights * np.sin(rule.nodes) ** (n - 2) * sphere_surface(n - 1)
     radii = np.asarray(radii, dtype=float)
-    cos_t, sin_t = np.cos(grid.half_polar), np.sin(grid.half_polar)
-    polar_weights, ring_weights = grid.folded_weights[:-1], grid.folded_weights[-1]
-    size = grid.half_polar.size ** (phi.dim - 2) * grid.half_azimuth.size
-    per_block = max(1, _SHELL_BLOCK // size)
-    out = np.zeros(radii.size)
-    for k, amp, phase in phi.waves:
-        c = amp * math.cos(float(np.dot(k, x)) + phase)
-        ring = k[-2] * np.cos(grid.half_azimuth) + k[-1] * np.sin(grid.half_azimuth)
-        for b in range(0, radii.size, per_block):
-            # scale: s times the sines of the polar angles so far; prod: the
-            # folded weights times cos(scale k_i cos t_i) of those angles
-            scale = radii[b : b + per_block]
-            prod = np.ones(scale.size)
-            for ki, w in zip(k[:-2], polar_weights):
-                prod = np.multiply.outer(prod, w) * np.cos(np.multiply.outer(scale, ki * cos_t))
-                scale = np.multiply.outer(scale, sin_t)
-            arg = np.multiply.outer(scale, ring)
-            np.cos(arg, out=arg)
-            shells = (arg @ ring_weights) * prod
-            out[b : b + per_block] += c * shells.reshape(shells.shape[0], -1).sum(axis=1)
-    return out
+    arg = np.multiply.outer(radii * math.sqrt(phi.lam), np.cos(rule.nodes))
+    return phi.eval(x) * (np.cos(arg) @ weights)
+
+
+def _polar_orders(bandwidth: float, rungs: int) -> tuple:
+    """``rungs`` successive ``_POLAR_LADDER`` orders, from the first of at
+    least bandwidth + 16 (or the top ``rungs``), for shells whose phases
+    s sqrt(lambda) stay within bandwidth.
+
+    Order p resolves the polar integral to rounding for phases up to about
+    p - 24 (n <= 12), so the first rung is close and the next one is there.
+    """
+    start = min(bisect_left(_POLAR_LADDER, bandwidth + 16.0), len(_POLAR_LADDER) - rungs)
+    return _POLAR_LADDER[start : start + rungs]
 
 
 def _converged_shell(phi: PlaneWaveEigen, x, s: float, tol: float):
-    """(order, average) at the first ladder order where the average of phi
-    over the sphere of radius s about x agrees with the previous order's
-    within tol (or within machine noise for the wave amplitudes); the top
-    order and its average if none does.
+    """(order, average) at the first ``_POLAR_LADDER`` order where the
+    average of phi over the sphere of radius s about x agrees with the
+    previous order's within tol (or within machine noise for the wave
+    amplitudes).
+
+    Raises AccuracyError, with the top order's average as its estimate, if
+    no order does.
     """
-    n = phi.dim
-    area = n * ball_volume(n)
+    area = sphere_surface(phi.dim)
     floor = 8e-16 * (1.0 + _wave_scale(phi))
     prev = None
-    for order in _angular_ladder(n):
+    for order in _POLAR_LADDER:
         val = float(_shell_sums(phi, x, [s], order)[0]) / area
         if prev is not None and abs(val - prev) <= max(tol * (1.0 + abs(val)), floor):
-            break
+            return order, val
         prev = val
-    return order, val
+    raise AccuracyError(
+        f"shell average did not converge to tol={tol:g} "
+        f"(n={phi.dim}, s={s:g}, lambda={phi.lam:g})",
+        estimate=prev,
+    )
 
 
 def radial_average(phi, x, s: float, tol: float = 1e-10) -> float:
     """Average of phi over the sphere of radius s centered at x.
 
-    Product-rule spherical quadrature (Gauss-Legendre polar angles, uniform
-    azimuth) with the order climbing a ladder until two successive
-    estimates agree within tol (or within machine noise for the wave
-    amplitudes); the last estimate is returned. Each estimate is a shell
-    sum of phi's plane waves folded onto the grid's symmetry domain
-    (``_shell_sums``), not an evaluation at materialized grid points.
+    The polar rule of ``_shell_sums`` with its order climbing
+    ``_POLAR_LADDER`` until two successive estimates agree within tol (or
+    within machine noise for the wave amplitudes); the last estimate is
+    returned. Raises AccuracyError if the ladder runs out first.
     """
     x = np.asarray(x, dtype=float)
     s = float(s)
@@ -311,12 +286,11 @@ def radial_average(phi, x, s: float, tol: float = 1e-10) -> float:
 def coulomb_ball_integral(phi: PlaneWaveEigen, x, r: float, tol: float = 1e-8) -> float:
     """int over ||y - x|| <= r of phi(y) / ||y - x||^(n-2) dy, n >= 3.
 
-    Computed as the nested quadrature n omega_n int_0^r s * Av(s) ds with the
-    shell averages Av evaluated on a product spherical grid; radial and
-    angular orders climb a ladder until two successive estimates agree
-    within tol/2 each. One estimate takes the shell sums at all its radial
-    nodes from one ``_shell_sums`` call, which sums each plane wave over the
-    grid's folded half axes instead of evaluating phi on (N, n) point arrays.
+    Computed as the nested quadrature n omega_n int_0^r s * Av(s) ds: a
+    radial Gauss-Legendre rule whose orders climb ``_RADIAL_LADDER`` in step
+    with the polar orders of ``_polar_orders(r sqrt(lambda))``, until two
+    successive estimates agree within tol/2 each. One estimate takes the
+    shell sums at all its radial nodes from one ``_shell_sums`` call.
 
     Raises AccuracyError if the ladders are exhausted without convergence.
     """
@@ -332,13 +306,11 @@ def coulomb_ball_integral(phi: PlaneWaveEigen, x, r: float, tol: float = 1e-8) -
 
     def estimate(q: int, p: int) -> float:
         rule = gauss_legendre(q, 0.0, r)
-        shells = _shell_sums(phi, x, rule.nodes, p)  # carry the area factor
-        # = n omega_n int s Av(s) ds since the grid weights sum to n omega_n
+        shells = _shell_sums(phi, x, rule.nodes, p)  # = n omega_n Av(s)
         return float(np.dot(rule.weights * rule.nodes, shells))
 
-    angular = _angular_ladder(n)
     prev = None
-    for q, p in zip(_RADIAL_LADDER, angular):
+    for q, p in zip(_RADIAL_LADDER, _polar_orders(r * math.sqrt(phi.lam), len(_RADIAL_LADDER))):
         val = estimate(q, p)
         if prev is not None and abs(val - prev) <= 0.5 * tol * (1.0 + abs(val)):
             # one refinement of the radial order alone to decouple the two limits
@@ -368,20 +340,20 @@ def verify_identity(phi: PlaneWaveEigen, x, r: float, tol: float = 1e-7) -> floa
 
 
 def _profile_stencil(n: int, phi: PlaneWaveEigen, x, r: float):
-    """R at r-h, r, r+h with R(s) = n omega_n s Av(s), on one shared grid.
+    """R at r-h, r, r+h with R(s) = n omega_n s Av(s), on one shared rule.
 
-    The angular order is chosen once, at radius r, by the convergence
-    ladder; the three stencil radii then reuse that grid, so the (smooth)
-    quadrature error largely cancels in the finite differences instead of
-    being amplified by 1/h^2.
+    The polar order is chosen once, at radius r, by the convergence ladder;
+    the three stencil radii then reuse that rule, so the (smooth) quadrature
+    error largely cancels in the finite differences instead of being
+    amplified by 1/h^2. Av is even in s, so R is odd and s * Av(s) holds at
+    a stencil radius below 0 too. Raises AccuracyError if the ladder runs
+    out.
     """
     x = np.asarray(x, dtype=float)
     h = 1e-4 * max(1.0, r)
     order, _ = _converged_shell(phi, x, r, tol=1e-11)
     radii = np.array([r - h, r, r + h])
-    # the shell sums carry the area factor n omega_n
-    shells = _shell_sums(phi, x, radii, order)
-    rm, r0, rp = (float(s * v) if s > 0.0 else 0.0 for s, v in zip(radii, shells))
+    rm, r0, rp = (float(v) for v in radii * _shell_sums(phi, x, radii, order))
     return rm, r0, rp, h
 
 
@@ -390,7 +362,8 @@ def ode_residual_R(n: int, phi: PlaneWaveEigen, x, r: float) -> float:
 
     R(r) = n omega_n r Av(r) is the derivative profile of the ball integral;
     derivatives are central differences with step 1e-4 * max(1, r). Returns
-    the raw combination; compare against the scale r^2 |R''| + |R|.
+    the raw combination; compare against the scale r^2 |R''| + |R|. Raises
+    AccuracyError if the shell average at r does not converge.
     """
     if not isinstance(n, (int, np.integer)) or n < 4:
         raise ValueError(f"ode_residual_R requires integer n >= 4, got {n!r}")
@@ -406,7 +379,10 @@ def ode_residual_R(n: int, phi: PlaneWaveEigen, x, r: float) -> float:
 
 
 def radial_profile_scale(n: int, phi: PlaneWaveEigen, x, r: float) -> float:
-    """The comparison scale r^2 |R''| + |R| for ode_residual_R."""
+    """The comparison scale r^2 |R''| + |R| for ode_residual_R.
+
+    Raises AccuracyError if the shell average at r does not converge.
+    """
     rm, r0, rp, h = _profile_stencil(n, phi, x, float(r))
     d2 = (rp - 2.0 * r0 + rm) / (h * h)
     return float(r) * float(r) * abs(d2) + abs(r0)
@@ -466,13 +442,11 @@ def poisson_2d(source, x, t: float, tol: float = 1e-7) -> float:
     The double Duhamel integral over the shrinking disks B(x, t-s) with
     weight ((t-s)^2 - |y-x|^2)^(-1/2); the radial weight is absorbed by the
     substitution rho = sin(psi) (a Chebyshev-type rule for that weight),
-    the angle uses the uniform rule, and the time, radial and angular
-    orders climb a three-rung ladder until two estimates agree within
-    tol/2. Per wave, the source at the disk nodes is
-    cos(<k, x> + phase + (t - s) rho <k, omega_theta>), taken on one
-    (time node x rho x theta) array per rung in blocks of at most
-    ``_SHELL_BLOCK`` elements (one time node's worth if that is larger);
-    the disk points are never formed. Orientation matches wave_factor, as
+    and the angle is taken by each level's n = 2 shell sums at the radii
+    (t - s) rho, one ``_shell_sums`` call per level. The time, radial and
+    polar orders climb a three-rung ladder until two estimates agree within
+    tol/2; the polar orders are ``_polar_orders(t sqrt(lambda_max))``, as no
+    shell's phase s |k| exceeds that. Orientation matches wave_factor, as
     for kirchhoff_3d.
 
     Raises AccuracyError if the ladder is exhausted without convergence.
@@ -484,40 +458,26 @@ def poisson_2d(source, x, t: float, tol: float = 1e-7) -> float:
     t = float(t)
     if not t > 0.0:
         raise ValueError(f"time must be positive, got {t!r}")
-    lam_max = max(p.lam for _, p in parts)
-    bandwidth = t * math.sqrt(lam_max)
-    waves = [(k, coef * amp, phase) for coef, eigen in parts for k, amp, phase in eigen.waves]
+    bandwidth = t * math.sqrt(max(p.lam for _, p in parts))
 
-    def attempt(n_theta: int, n_psi: int, q: int) -> float:
+    def attempt(n_psi: int, q: int, p: int) -> float:
         # (1/2 pi) int_0^t radius int over the unit disk of
         # f(x + radius z) (1 - |z|^2)^(-1/2) dz ds, radius = t - s
         time_rule = gauss_legendre(q, 0.0, t)
         radius = t - time_rule.nodes
-        w_time = time_rule.weights * radius
         disk = gauss_legendre(n_psi, 0.0, 0.5 * math.pi)
         rho = np.sin(disk.nodes)
         w_psi = disk.weights * rho  # rho drho / sqrt(1-rho^2) = sin psi dpsi
-        theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        per_block = max(1, _SHELL_BLOCK // (n_psi * n_theta))
-        total = 0.0
-        for k, amp, phase in waves:
-            c = float(np.dot(k, x)) + phase
-            disk_proj = np.multiply.outer(rho, k[0] * np.cos(theta) + k[1] * np.sin(theta))
-            for b in range(0, q, per_block):
-                arg = np.multiply.outer(radius[b : b + per_block], disk_proj)
-                arg += c
-                np.cos(arg, out=arg)
-                total += amp * float(w_time[b : b + per_block] @ (arg.sum(axis=2) @ w_psi))
-        return total / n_theta  # the angle weights 2 pi / n_theta over the 2 pi
+        radii = np.multiply.outer(radius, rho)
+        circles = sum(coef * _shell_sums(eigen, x, radii, p) for coef, eigen in parts)
+        return float((time_rule.weights * radius) @ circles @ w_psi) / (2.0 * math.pi)
 
-    n_theta = max(32, 4 * int(math.ceil(bandwidth)) + 8)
     prev = None
-    for n_psi, q in ((16, 48), (24, 72), (36, 108)):
-        val = attempt(n_theta, n_psi, q)
+    for (n_psi, q), p in zip(((16, 48), (24, 72), (36, 108)), _polar_orders(bandwidth, 3)):
+        val = attempt(n_psi, q, p)
         if prev is not None and abs(val - prev) <= 0.5 * tol * (1.0 + abs(val)):
             return -val
         prev = val
-        n_theta = int(1.5 * n_theta)
     raise AccuracyError(
         f"poisson_2d did not converge to tol={tol:g} (t={t:g})", estimate=-prev
     )

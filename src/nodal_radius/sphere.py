@@ -393,15 +393,6 @@ class SphereGridFactors:
 
     The factors from axis ``start`` on are those of the same rule on
     S^(n-1-start): the grid splits as omega = (cos t0, sin t0 * omega').
-
-    The rule maps onto itself under t_i -> pi - t_i on each polar axis (the
-    Gauss-Legendre nodes and weights are symmetric) and under
-    phi -> phi + pi (the azimuth has an even number of nodes). Its folded
-    half axes are ``half_polar``, the polar nodes t <= pi/2, and
-    ``half_azimuth``, the first ``order`` azimuth nodes. ``folded_weights``
-    holds one array per axis: each polar axis weight doubled for its mirror
-    node, except an odd order's middle node pi/2, which is its own mirror,
-    then the azimuth weight doubled.
     """
 
     dim: int
@@ -410,9 +401,6 @@ class SphereGridFactors:
     polar_weights: np.ndarray
     azimuth: np.ndarray
     axis_weights: tuple
-    half_polar: np.ndarray
-    half_azimuth: np.ndarray
-    folded_weights: tuple
 
     @property
     def angles(self) -> tuple:
@@ -468,19 +456,9 @@ def sphere_grid_factors(n: int, order: int) -> SphereGridFactors:
     axis_weights = tuple(
         polar_weights * np.sin(polar) ** (n - 2 - i) for i in range(n - 2)
     ) + (w_phi,)
-    half = (order + 1) // 2
-    mirror = np.full(half, 2.0)
-    if order % 2:
-        mirror[-1] = 1.0  # the middle node pi/2 is its own mirror
-    folded_weights = tuple(mirror * w[:half] for w in axis_weights[:-1]) + (
-        2.0 * w_phi[:order],
-    )
-    for arr in (polar, polar_weights, phi) + axis_weights + folded_weights:
+    for arr in (polar, polar_weights, phi) + axis_weights:
         arr.setflags(write=False)
-    return SphereGridFactors(
-        n, order, polar, polar_weights, phi, axis_weights,
-        polar[:half], phi[:order], folded_weights,
-    )
+    return SphereGridFactors(n, order, polar, polar_weights, phi, axis_weights)
 
 
 def unit_sphere_grid(n: int, order: int):

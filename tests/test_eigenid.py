@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from nodal_radius import eigenid
-from nodal_radius.specfun import AccuracyError, bessel_j, gamma_fn, gauss_legendre
-from nodal_radius.sphere import sphere_grid_factors, unit_sphere_grid
+from nodal_radius.specfun import AccuracyError, bessel_j, gamma_fn, gauss_legendre, sphere_surface
+from nodal_radius.sphere import unit_sphere_grid
 from nodal_radius.eigenid import (
     EigenMix,
     PlaneWaveEigen,
@@ -149,6 +149,13 @@ class TestQn:
             qn(3, -0.5)
 
 
+def bessel_mean(n, z):
+    """Spherical mean over S^(n-1) of cos(z <e, omega>) for a unit vector e:
+    Gamma(n/2) (2/z)^((n-2)/2) J_((n-2)/2)(z)."""
+    nu = (n - 2.0) / 2.0
+    return gamma_fn(n / 2.0) * (2.0 / z) ** nu * bessel_j(nu, z)
+
+
 class TestRadialAverage:
     def test_zero_radius(self):
         phi = plane_wave(3, 2.0, phase=0.4)
@@ -177,12 +184,19 @@ class TestRadialAverage:
             x = rng.normal(size=n)
             s = 0.8
             z = math.sqrt(lam) * s
-            kern = gamma_fn(n / 2.0) * (2.0 / z) ** ((n - 2.0) / 2.0) * bessel_j(
-                (n - 2.0) / 2.0, z
-            )
             assert radial_average(phi, x, s, tol=1e-11) == pytest.approx(
-                phi.eval(x) * kern, abs=1e-8
+                phi.eval(x) * bessel_mean(n, z), abs=1e-8
             )
+        # every n of one polar ladder, out to s sqrt(lambda) = 100
+        for n in range(2, 13):
+            for z in (0.3, 2.0, 9.0, 27.0, 60.0, 100.0):
+                lam = float(rng.uniform(0.5, 9.0))
+                phi = random_eigen(rng, n, lam, int(rng.integers(1, 3)))
+                x = rng.normal(size=n)
+                got = radial_average(phi, x, z / math.sqrt(lam), tol=1e-11)
+                assert got == pytest.approx(
+                    phi.eval(x) * bessel_mean(n, z), rel=0.0, abs=1e-11 * eigenid._wave_scale(phi)
+                )
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
@@ -198,45 +212,38 @@ class TestRadialAverage:
 
 
 def pointwise_shell_sum(phi, x, s, order):
-    """sum_j w_j phi(x + s omega_j) on the materialized grid points."""
+    """sum_j w_j phi(x + s omega_j) on the materialized product-rule grid."""
     pts, w = unit_sphere_grid(phi.dim, order)
     return float(np.dot(w, phi.eval_many(x + s * pts)))
 
 
-def unfolded_shell_sums(phi, x, radii, order):
-    """The shell sums over the whole grid, one cosine per grid node and
-    radius: ``_shell_sums`` as it was before the fold onto the half axes."""
-    grid = sphere_grid_factors(phi.dim, order)
-    first = grid.angles[0]
-    cos0, sin0, w0 = np.cos(first), np.sin(first), grid.axis_weights[0]
-    w_tail = grid.weights(start=1)
-    out = np.zeros(len(radii))
-    for k, amp, phase in phi.waves:
-        c = float(np.dot(k, x)) + phase
-        tail = grid.projection(k[1:], start=1).ravel()
-        for a in range(first.size):
-            g = sin0[a] * tail + k[0] * cos0[a]
-            for i, s in enumerate(radii):
-                out[i] += amp * w0[a] * float(np.cos(c + s * g) @ w_tail)
-    return out
+# product-rule orders per dimension; grids grow like order^(n-1)
+PRODUCT_LADDERS = {
+    3: (16, 24, 36, 54),
+    4: (12, 17, 24, 34),
+    5: (10, 14, 19, 26),
+    6: (9, 12, 16, 21),
+}
 
 
 def reference_radial_average(phi, x, s, tol):
-    """The order ladder of radial_average, one pointwise shell sum per order."""
+    """radial_average's stop rule on a product-rule ladder, one pointwise
+    shell sum per order."""
     n = phi.dim
-    area = n * eigenid.ball_volume(n)
+    area = sphere_surface(n)
     floor = 8e-16 * (1.0 + sum(abs(a) for _, a, _ in phi.waves))
     prev = None
-    for order in eigenid._angular_ladder(n):
+    for order in PRODUCT_LADDERS[n]:
         val = pointwise_shell_sum(phi, x, s, order) / area
         if prev is not None and abs(val - prev) <= max(tol * (1.0 + abs(val)), floor):
             return val
         prev = val
-    return prev
+    raise AccuracyError("reference ladder exhausted", estimate=prev)
 
 
 def reference_coulomb(phi, x, r, tol):
-    """The ladders of coulomb_ball_integral, one pointwise shell sum per radial node."""
+    """coulomb_ball_integral's ladders with a product-rule ladder for the
+    angle, one pointwise shell sum per radial node."""
 
     def estimate(q, p):
         rule = gauss_legendre(q, 0.0, r)
@@ -246,7 +253,7 @@ def reference_coulomb(phi, x, r, tol):
         return total
 
     prev = None
-    for q, p in zip(eigenid._RADIAL_LADDER, eigenid._angular_ladder(phi.dim)):
+    for q, p in zip(eigenid._RADIAL_LADDER, PRODUCT_LADDERS[phi.dim]):
         val = estimate(q, p)
         if prev is not None and abs(val - prev) <= 0.5 * tol * (1.0 + abs(val)):
             val2 = estimate(min(q + q // 2, 2 * q), p)
@@ -257,50 +264,24 @@ def reference_coulomb(phi, x, r, tol):
 
 
 class TestProjectedShells:
-    """The projected shell sums against the pointwise evaluation on the grid."""
+    """The polar rule, which projects each wave onto its own axis, against
+    the product rule evaluated pointwise and against the Bessel mean."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_shell_sums_match_pointwise(self, n):
+        # product-rule orders that resolve s sqrt(lambda) <= 2 to 1e-11
+        product_order = {2: 16, 3: 20, 4: 20, 5: 16, 6: 16}[n]
         rng = np.random.default_rng(500 + n)
-        for order in eigenid._angular_ladder(n)[:2]:
-            for _ in range(2):
-                phi = random_eigen(rng, n, float(rng.uniform(0.5, 9.0)), int(rng.integers(1, 4)))
-                x = rng.normal(size=n)
-                radii = np.sort(rng.uniform(0.05, 4.0, size=5))
-                got = eigenid._shell_sums(phi, x, radii, order)
-                ref = [pointwise_shell_sum(phi, x, s, order) for s in radii]
-                # relative to sum_j |w_j| * sum |amp|, the size of any shell sum
-                scale = n * eigenid.ball_volume(n) * eigenid._wave_scale(phi)
-                assert np.max(np.abs(got - ref)) <= 1e-13 * scale
-
-    @pytest.mark.parametrize(
-        "n,order", [(n, order) for n in range(2, 9) for order in eigenid._angular_ladder(n)]
-    )
-    def test_fold_matches_unfolded_sums(self, n, order):
-        # every ladder order, odd ones (middle node pi/2 unpaired) included
-        rng = np.random.default_rng(1000 * n + order)
-        points = 2 * order ** (n - 1)
-        n_radii, n_waves = (4, 2) if points <= 2_000_000 else (1, 1)
-        phi = random_eigen(rng, n, float(rng.uniform(0.5, 9.0)), n_waves)
-        x = rng.normal(size=n)
-        radii = np.sort(rng.uniform(0.05, 4.0, size=n_radii))
-        got = eigenid._shell_sums(phi, x, radii, order)
-        ref = unfolded_shell_sums(phi, x, radii, order)
-        scale = n * eigenid.ball_volume(n) * eigenid._wave_scale(phi)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * scale
-
-    def test_shell_sums_split_into_blocks(self, monkeypatch):
-        # blocks smaller than one radius's folded grid still cover every
-        # radius, at an even order and at an odd one
-        rng = np.random.default_rng(511)
-        phi = random_eigen(rng, 4, 2.0, 2)
-        x = rng.normal(size=4)
-        radii = np.linspace(0.2, 2.0, 7)
-        whole = {order: eigenid._shell_sums(phi, x, radii, order) for order in (12, 17)}
-        monkeypatch.setattr(eigenid, "_SHELL_BLOCK", 100)
-        for order, ref in whole.items():
-            split = eigenid._shell_sums(phi, x, radii, order)
-            assert np.allclose(split, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+        for _ in range(2):
+            lam = float(rng.uniform(0.5, 9.0))
+            phi = random_eigen(rng, n, lam, int(rng.integers(1, 4)))
+            x = rng.normal(size=n)
+            radii = np.sort(rng.uniform(0.05, 2.0, size=4)) / math.sqrt(lam)
+            got = eigenid._shell_sums(phi, x, radii, 48)
+            ref = [pointwise_shell_sum(phi, x, s, product_order) for s in radii]
+            # relative to |S^(n-1)| * sum |amp|, the size of any shell sum
+            scale = sphere_surface(n) * eigenid._wave_scale(phi)
+            assert np.max(np.abs(got - ref)) <= 1e-11 * scale
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_radial_average_matches_pointwise_ladder(self, n):
@@ -312,7 +293,7 @@ class TestProjectedShells:
             s = float(rng.uniform(0.5, 3.0)) / math.sqrt(lam)
             got = radial_average(phi, x, s, tol=1e-10)
             ref = reference_radial_average(phi, x, s, tol=1e-10)
-            assert got == pytest.approx(ref, rel=0.0, abs=1e-13 * (1.0 + abs(ref)))
+            assert got == pytest.approx(ref, rel=0.0, abs=1e-10 * (1.0 + abs(ref)))
 
     # tolerances that stop each ladder by its second rung; the pointwise
     # reference costs seconds per rung in n = 6
@@ -327,7 +308,38 @@ class TestProjectedShells:
         r = float(rng.uniform(0.3, u_hi)) / math.sqrt(lam)
         got = coulomb_ball_integral(phi, x, r, tol=tol)
         ref = reference_coulomb(phi, x, r, tol=tol)
-        assert got == pytest.approx(ref, rel=0.0, abs=1e-12 * (1.0 + abs(ref)))
+        assert got == pytest.approx(ref, rel=0.0, abs=tol * (1.0 + abs(ref)))
+
+    def test_far_shell_n6_converges(self):
+        # the product rule's top order 21 left 1.5e-3 here
+        phi = plane_wave(6, 1.0)
+        assert radial_average(phi, np.zeros(6), 40.0) == pytest.approx(
+            bessel_mean(6, 40.0), rel=0.0, abs=1e-10
+        )
+
+    def test_shell_meets_tolerance_at_s_k_10(self):
+        # the product rule stopped at its top order 21 here, 1.2e-6 off
+        phi = plane_wave(6, 1.0)
+        x = np.zeros(6)
+        order, val = eigenid._converged_shell(phi, x, 10.0, tol=1e-10)
+        before = eigenid._POLAR_LADDER[eigenid._POLAR_LADDER.index(order) - 1]
+        area = sphere_surface(6)
+        step = val - float(eigenid._shell_sums(phi, x, [10.0], before)[0]) / area
+        assert abs(step) <= 1e-10 * (1.0 + abs(val))
+        assert radial_average(phi, x, 10.0, tol=1e-10) == pytest.approx(
+            bessel_mean(6, 10.0), rel=0.0, abs=1e-10
+        )
+
+    def test_exhausted_ladder_raises(self, monkeypatch):
+        monkeypatch.setattr(eigenid, "_POLAR_LADDER", (16, 24))
+        phi = plane_wave(4, 4.0, phase=0.3)
+        with pytest.raises(AccuracyError) as err:
+            radial_average(phi, np.zeros(4), 30.0)
+        # the estimate is the top order's average
+        top = float(eigenid._shell_sums(phi, np.zeros(4), [30.0], 24)[0])
+        assert err.value.estimate == top / sphere_surface(4)
+        with pytest.raises(AccuracyError):
+            ode_residual_R(4, phi, np.zeros(4), 30.0)
 
 
 class TestCoulombIntegral:
@@ -379,6 +391,25 @@ class TestIdentity:
         for r in (0.5, 1.0, 2.0):
             assert verify_identity(phi, x, r, tol=1e-6) <= 1e-5
 
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_high_dimensions(self, n):
+        rng = np.random.default_rng(60 + n)
+        lam = 2.0
+        phi = random_eigen(rng, n, lam, n_waves=2)
+        x = rng.normal(size=n) * 0.5
+        for r in (0.5, 1.0, 2.0):
+            assert verify_identity(phi, x, r, tol=1e-6) <= 1e-5
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_wide_balls(self, n):
+        # r sqrt(lambda) from 20 to 60 starts the polar orders past 32
+        rng = np.random.default_rng(80 + n)
+        for u in (20.0, 30.0, 60.0):
+            lam = float(rng.uniform(0.5, 6.0))
+            phi = random_eigen(rng, n, lam, n_waves=2)
+            x = rng.normal(size=n) * 0.5
+            assert verify_identity(phi, x, u / math.sqrt(lam), tol=1e-6) <= 1e-6
+
     def test_scaling_preserves_pass(self):
         rng = np.random.default_rng(41)
         phi = random_eigen(rng, 3, 4.0, n_waves=1)
@@ -390,7 +421,8 @@ class TestIdentity:
 
 
 class TestOdeResidual:
-    @pytest.mark.parametrize("n,r", [(4, 1.0), (6, 0.5)])
+    # r = 3e-5 < h = 1e-4 puts the stencil radius r - h below 0, where R is odd
+    @pytest.mark.parametrize("n,r", [(4, 1.0), (6, 0.5), (4, 3e-5), (5, 3e-5), (6, 3e-5)])
     def test_residual_small(self, n, r):
         rng = np.random.default_rng(n)
         phi = random_eigen(rng, n, 3.0, n_waves=1)
@@ -402,7 +434,7 @@ class TestOdeResidual:
     def test_r_vanishes_at_zero(self):
         phi = plane_wave(4, 2.0)
         x = np.zeros(4)
-        nwn = 4 * eigenid.ball_volume(4)
+        nwn = sphere_surface(4)
         r_tiny = nwn * 1e-8 * radial_average(phi, x, 1e-8)
         assert abs(r_tiny) <= 1e-6
 
@@ -469,8 +501,9 @@ class TestKirchhoff:
 
 
 def reference_poisson_2d(source, x, t, tol):
-    """(value, last n_theta) of poisson_2d as it was before the projection:
-    the disk points built and the source evaluated once per time node."""
+    """(value, last n_theta) of poisson_2d's ladder on the disk points: a
+    uniform angle rule of n_theta nodes, n_theta growing from a bandwidth
+    rule, and the source evaluated once per time node."""
     parts = eigenid._as_parts(source)
     x = np.asarray(x, dtype=float)
     bandwidth = t * math.sqrt(max(p.lam for _, p in parts))
@@ -516,8 +549,9 @@ class TestPoisson2d:
         assert got == pytest.approx(ref, rel=0.0, abs=1e-13 * (1.0 + abs(ref)))
 
     def test_projection_matches_on_odd_third_rung(self):
-        # bandwidth 6.5 starts at n_theta = 36, so the rungs are 36, 54, 81;
-        # tol 1e-15 climbs to the third rung, which then raises
+        # the reference's bandwidth 6.5 starts at n_theta = 36, so its rungs
+        # are 36, 54, 81; tol 1e-15 takes poisson_2d to its third rung, which
+        # then raises with that rung's estimate
         rng = np.random.default_rng(717)
         phi = random_eigen(rng, 2, 1.0, 3)
         x = rng.normal(size=2)

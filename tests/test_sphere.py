@@ -589,29 +589,9 @@ class TestGridFactors:
             assert np.allclose(pts, ref_pts, rtol=0.0, atol=1e-15)
             assert np.allclose(w, ref_w, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_folded_axes_carry_each_axis(self, n):
-        # each half axis with its folded weights integrates an even function
-        # of the axis (here its weight's own total and cos^2) as the full axis
-        for order in (4, 5):
-            grid = sphere_grid_factors(n, order)
-            assert grid.half_polar.size == (0 if n == 2 else (order + 1) // 2)
-            assert np.all(grid.half_polar <= 0.5 * math.pi + 1e-15)
-            halves = [grid.half_polar] * (n - 2) + [grid.half_azimuth]
-            axes = zip(grid.angles, grid.axis_weights, halves, grid.folded_weights)
-            for full, aw, half, fw in axes:
-                assert fw.sum() == pytest.approx(aw.sum(), rel=1e-14)
-                assert np.dot(fw, np.cos(half) ** 2) == pytest.approx(
-                    np.dot(aw, np.cos(full) ** 2), rel=1e-14
-                )
-
     def test_factors_read_only(self):
         grid = sphere_grid_factors(4, 6)
-        for arr in (
-            (grid.polar, grid.polar_weights, grid.azimuth, grid.half_polar, grid.half_azimuth)
-            + grid.axis_weights
-            + grid.folded_weights
-        ):
+        for arr in (grid.polar, grid.polar_weights, grid.azimuth) + grid.axis_weights:
             assert not arr.flags.writeable
         pts, w = unit_sphere_grid(4, 6)
         assert not pts.flags.writeable and not w.flags.writeable
