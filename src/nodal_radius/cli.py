@@ -443,6 +443,10 @@ def parse_args(argv) -> RunConfig:
         raise ParseFailure(f"A must be >= 1, got {ns.A}")
     if ns.B < 0:
         raise ParseFailure(f"B must be >= 0, got {ns.B}")
+    if ns.trials < 1:
+        raise ParseFailure(f"trials must be >= 1, got {ns.trials}")
+    if ns.count < 1:
+        raise ParseFailure(f"count must be >= 1, got {ns.count}")
     return RunConfig(
         command=ns.cmd,
         input_path=ns.input,

@@ -15,11 +15,13 @@ one wave amp cos(<k, x> + phase + s <k, omega>) over the unit sphere is
 amp cos(<k, x> + phase) |S^(n-2)| int_0^pi sin^(n-2)(t) cos(s |k| cos t) dt,
 the sine part being odd under omega -> -omega. Every wave has |k| =
 sqrt(lambda), so the shell sum is phi(x) times one 1-D integral over the
-polar angle t, taken by Gauss-Legendre on [0, pi] whose order climbs the
-one ladder ``_POLAR_LADDER`` in every dimension. The quadrature is that of
-phi's own definition, not the closed-form Bessel mean that the identity
-check compares against. ``poisson_2d`` takes its disk angle from the same
-shell sums in n = 2.
+polar angle t, taken by ``specfun.polar_rule``: Gauss-Legendre on [0, pi]
+with the ring measure sin^(n-2)(t) |S^(n-2)| folded into its weights, the
+rule that ``sphere.convolve_at_point_quadrature`` integrates on as well.
+Its order climbs the one ladder ``_POLAR_LADDER`` in every dimension. The
+quadrature is that of phi's own definition, not the closed-form Bessel mean
+that the identity check compares against. ``poisson_2d`` takes its disk
+angle from the same shell sums in n = 2.
 
 Sign convention: wave_factor(lam, t) = (cos(sqrt(lam) t) - 1)/lam, and
 kirchhoff_3d / poisson_2d return the wave field matching that factor; the
@@ -34,7 +36,15 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .specfun import AccuracyError, bessel_j, gamma_fn, gauss_legendre, quad_adaptive, sphere_surface
+from .specfun import (
+    AccuracyError,
+    bessel_j,
+    gamma_fn,
+    gauss_legendre,
+    polar_rule,
+    quad_adaptive,
+    sphere_surface,
+)
 
 _LAMBDA_TOL = 1e-10
 
@@ -219,15 +229,13 @@ def _shell_sums(phi: PlaneWaveEigen, x, radii, order: int) -> np.ndarray:
     In a frame whose pole is k/|k|, each wave integrates to
     amp cos(<k, x> + phase) |S^(n-2)| int_0^pi sin^(n-2)(t) cos(s |k| cos t) dt.
     Every |k| is sqrt(lambda), so the waves' factors sum to phi(x), taken
-    once, times one Gauss-Legendre rule of ``order`` nodes on [0, pi] with
+    once, times ``polar_rule(n, order)``: Gauss-Legendre on [0, pi] with
     weights w_t sin^(n-2)(t) |S^(n-2)|. The sums are even in s.
     """
-    n = phi.dim
-    rule = gauss_legendre(order, 0.0, math.pi)
-    weights = rule.weights * np.sin(rule.nodes) ** (n - 2) * sphere_surface(n - 1)
+    rule = polar_rule(phi.dim, order)
     radii = np.asarray(radii, dtype=float)
     arg = np.multiply.outer(radii * math.sqrt(phi.lam), np.cos(rule.nodes))
-    return phi.eval(x) * (np.cos(arg) @ weights)
+    return phi.eval(x) * (np.cos(arg) @ rule.weights)
 
 
 def _polar_orders(bandwidth: float, rungs: int) -> tuple:

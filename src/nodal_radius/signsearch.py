@@ -56,6 +56,7 @@ from scipy.ndimage import distance_transform_edt
 from scipy.spatial import cKDTree
 
 from .eigenid import EigenMix, PlaneWaveEigen
+from .specfun import gegenbauer
 from .sphere import SphereFn, ZonalTerm
 from .torus import TrigPoly, _cosine_grid
 
@@ -66,6 +67,7 @@ _TORUS_PAD = 8
 _TILE = 8  # cells per axis of a coarse-to-fine search tile (even)
 _EDT_CALL_CELLS = 512  # the fixed cost of one EDT call, in cells
 _SLAB_CELLS = 1 << 15  # cells per slab of the min-plus passes, sized to stay in cache
+_PROBE_RESOLUTION = 2**14  # circle samples per polynomial in the sharpness probe
 # relative slack on a tile bound: a collinear case meets the bound exactly,
 # and rounding may overshoot it by a few ulps
 _BOUND_SLACK = 1.0 + 32.0 * np.finfo(float).eps
@@ -709,13 +711,7 @@ def _structured_coeffs(A: int, B: int, roots: np.ndarray, psi: float) -> np.ndar
     return np.exp(1j * psi) * poly
 
 
-def sharpness_probe(
-    A: int,
-    B: int,
-    trials: int = 400,
-    resolution: int = 2**14,
-    seed: int = 0,
-) -> float:
+def sharpness_probe(A: int, B: int, trials: int = 400, seed: int = 0) -> float:
     """Largest sign-free interval found among polynomials with spectrum in
     +-[A, A+B] on the circle.
 
@@ -730,10 +726,8 @@ def sharpness_probe(
         raise ValueError(f"A must be an integer >= 1, got {A!r}")
     if not isinstance(B, (int, np.integer)) or B < 0:
         raise ValueError(f"B must be an integer >= 0, got {B!r}")
-    if resolution < 2**14:
-        resolution = 2**14
     rng = np.random.default_rng(seed)
-    x = np.arange(resolution) / resolution
+    x = np.arange(_PROBE_RESOLUTION) / _PROBE_RESOLUTION
     table = _band_table(A, B, x)  # every band [A, A+B'] takes its first B'+1 columns
     best = 0.0
     for Bp in range(0, B + 1):
@@ -816,9 +810,7 @@ def random_sphere_fn(rng, dim: int = 3, max_degree: int = 12, max_terms: int = 4
         if weight == 0.0:
             weight = 1.0
         # high degrees have huge sup norms; keep contributions comparable
-        from .specfun import gegenbauer as _geg
-
-        weight /= _geg(degree, (dim - 2.0) / 2.0, 1.0)
+        weight /= gegenbauer(degree, (dim - 2.0) / 2.0, 1.0)
         terms.append(ZonalTerm(degree=degree, pole=pole, weight=weight))
     return SphereFn(dim, terms)
 

@@ -2,8 +2,10 @@
 
 Everything downstream funnels through this module: Bessel J of real order
 and its first positive zero, Gegenbauer (ultraspherical) polynomials and
-their largest roots, the Gamma function, unit-ball volume constants, and
-adaptive 1D Gauss-Legendre quadrature with endpoint-singularity handling.
+their largest roots, the Gamma function, unit-ball volume constants,
+adaptive 1D Gauss-Legendre quadrature with endpoint-singularity handling,
+and ``polar_rule``, the one rule for the surface measure of a sphere in
+the angle from a pole.
 
 All functions are pure and reentrant; cached quadrature rules are immutable.
 """
@@ -347,9 +349,6 @@ class QuadRule:
     weights: np.ndarray
     order: int
 
-    def apply(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
 
 @lru_cache(maxsize=64)
 def _gl_cache(order: int):
@@ -373,6 +372,24 @@ def gauss_legendre(order: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadRule(nodes=nodes, weights=weights, order=int(order))
+
+
+def polar_rule(n: int, order: int) -> QuadRule:
+    """Rule in the polar angle t on [0, pi] for the surface measure of S^(n-1).
+
+    The weights are w_t sin^(n-2)(t) |S^(n-2)|, the Gauss-Legendre weights
+    times the measure of the ring at angle t from a pole, so for any pole p
+    the sum of weights * h(cos t) over the nodes is int over S^(n-1) of
+    h(<omega, p>) d omega (for n = 2, 2 w_t: the circle's two arcs). Both
+    the spherical means of plane waves and the direct sphere convolution
+    take their rings from this rule.
+    """
+    if n < 2:
+        raise ValueError(f"the polar rule needs n >= 2, got {n!r}")
+    rule = gauss_legendre(order, 0.0, math.pi)
+    weights = rule.weights * np.sin(rule.nodes) ** (n - 2) * sphere_surface(n - 1)
+    weights.setflags(write=False)
+    return QuadRule(nodes=rule.nodes, weights=weights, order=rule.order)
 
 
 def _panel_estimates(f, a: float, b: float):

@@ -5,8 +5,11 @@ Funk-Hecke formula turns convolution with an inner-product kernel into a
 per-degree scalar multiplier. The annihilator construction builds a
 nonnegative bump kernel, supported close to 1, whose degree-m multiplier
 vanishes -- the degree-lowering step behind the zero-radius bound on
-spheres. The spherical-cap ground-state bound and geodesic helpers live
-here as well.
+spheres. ``convolve_at_point_quadrature`` checks that multiplier by direct
+surface quadrature: Gauss-Legendre in the angle from the point over the
+kernel's support, times ``specfun.polar_rule`` on the tangent sphere
+S^(d-2), the polar rule that the eigenfunction shell sums use too. The
+spherical-cap ground-state bound and geodesic helpers live here as well.
 
 Measure convention: integrals over S^(d-1) use the unnormalized surface
 measure, so the degree-0 multiplier of the constant kernel equals the full
@@ -20,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .specfun import (
     gegenbauer,
     gegenbauer_max_root,
     gegenbauer_root_below,
+    polar_rule,
     quad_adaptive,
     sphere_surface,
 )
@@ -378,141 +381,18 @@ def geodesic_distance(a, b) -> float:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SphereGridFactors:
-    """Per-axis factors of the product rule ``unit_sphere_grid(n, order)``.
-
-    The grid's angles are ``n - 2`` polar angles, each at the Gauss-Legendre
-    nodes ``polar`` on [0, pi], then the azimuth ``azimuth``: 2 * order
-    uniform angles in [0, 2 pi). A point is
-    (cos t0, sin t0 cos t1, ..., sin t0 ... sin t_{n-3} cos phi,
-    sin t0 ... sin t_{n-3} sin phi), and its weight is the product of one
-    entry of each ``axis_weights`` array: the polar weights times
-    sin^(n-2-i)(t_i) on polar axis i, then 2 pi / (2 order). Points run in
-    C order over the angle axes.
-
-    The factors from axis ``start`` on are those of the same rule on
-    S^(n-1-start): the grid splits as omega = (cos t0, sin t0 * omega').
-    """
-
-    dim: int
-    order: int
-    polar: np.ndarray
-    polar_weights: np.ndarray
-    azimuth: np.ndarray
-    axis_weights: tuple
-
-    @property
-    def angles(self) -> tuple:
-        return (self.polar,) * (self.dim - 2) + (self.azimuth,)
-
-    def weights(self, start: int = 0) -> np.ndarray:
-        """Grid weights over the axes from ``start`` on, raveled in point order.
-
-        ``start = dim - 1`` leaves no axis and gives ``[1.0]``.
-        """
-        w = np.ones(1)
-        for aw in reversed(self.axis_weights[start:]):
-            w = np.multiply.outer(aw, w).ravel()
-        return w
-
-    def projection(self, k, start: int = 0) -> np.ndarray:
-        """<k, omega> over the grid, shaped as the angle axes from ``start`` on.
-
-        k has dim - start entries; ``.ravel()`` runs in point order. The
-        projection nests over the angles, k0 cos t0 + sin t0 (k1 cos t1 +
-        sin t1 (... + k_{n-2} cos phi + k_{n-1} sin phi)), so it costs one
-        multiply-add per grid point and never forms the points.
-        """
-        k = np.asarray(k, dtype=float)
-        angles = self.angles[start:]
-        if k.shape != (len(angles) + 1,):
-            raise ValueError(
-                f"k must have {len(angles) + 1} entries for axes {start}.., got shape {k.shape}"
-            )
-        g = np.asarray(k[-1])
-        for a, ki in zip(reversed(angles), reversed(k[:-1])):
-            lead = (slice(None),) + (None,) * g.ndim
-            g = np.multiply.outer(np.sin(a), g)
-            g += (ki * np.cos(a))[lead]
-        return g
-
-
-@lru_cache(maxsize=64)
-def sphere_grid_factors(n: int, order: int) -> SphereGridFactors:
-    """The per-axis factors of ``unit_sphere_grid(n, order)`` (cached, read-only)."""
-    if n < 2:
-        raise ValueError("the sphere grid needs n >= 2")
-    n, order = int(n), int(order)
-    n_phi = 2 * order
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    w_phi = np.full(n_phi, 2.0 * np.pi / n_phi)
-    if n == 2:
-        polar = polar_weights = np.empty(0)
-    else:
-        rule = gauss_legendre(order, 0.0, math.pi)
-        polar, polar_weights = rule.nodes, rule.weights
-    # measure: prod_i sin^(n-2-i)(t_i) over the polar axes i = 0..n-3
-    axis_weights = tuple(
-        polar_weights * np.sin(polar) ** (n - 2 - i) for i in range(n - 2)
-    ) + (w_phi,)
-    for arr in (polar, polar_weights, phi) + axis_weights:
-        arr.setflags(write=False)
-    return SphereGridFactors(n, order, polar, polar_weights, phi, axis_weights)
-
-
-def unit_sphere_grid(n: int, order: int):
-    """Product quadrature grid on S^(n-1): points (N, n) and weights (N,).
-
-    Gauss-Legendre in each polar angle on [0, pi] (the integrand is analytic
-    in the angles), uniform trapezoid in the periodic azimuth. Weights sum
-    to the surface area of S^(n-1). The grid has 2 * order**(n-1) points.
-    The rule is defined once, by ``sphere_grid_factors(n, order)``: the
-    points are its projections onto the coordinate axes and the weights the
-    product of its per-axis weights, so a caller that needs only <k, omega>
-    and the weights can take them from the factors without forming the grid.
-    The grid is not cached: it is built anew, read-only, on every call.
-    """
-    if n < 2:
-        raise ValueError("unit_sphere_grid needs n >= 2")
-    n, order = int(n), int(order)
-    grid = sphere_grid_factors(n, order)
-    coords = np.empty((2 * order ** (n - 1), n))
-    for i, e in enumerate(np.eye(n)):
-        coords[:, i] = grid.projection(e).ravel()
-    weight = grid.weights()
-    coords.setflags(write=False)
-    weight.setflags(write=False)
-    return coords, weight
-
-
-def _frame_at(x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent space at the unit vector x."""
-    d = x.size
-    basis = np.eye(d)
-    idx = int(np.argmin(np.abs(x)))
-    cols = [basis[i] for i in range(d) if i != idx] + [basis[idx]]
-    frame = [x]
-    for v in cols:
-        for u in frame:
-            v = v - np.dot(v, u) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            frame.append(v / norm)
-        if len(frame) == d:
-            break
-    return np.stack(frame[1:], axis=0)
-
-
-def convolve_at_point_quadrature(
-    f: SphereFn, g: ZonalKernel, x, polar_order: int = 48, azimuth_order=None
-) -> float:
+def convolve_at_point_quadrature(f: SphereFn, g: ZonalKernel, x, polar_order: int = 48) -> float:
     """int over S^(d-1) of g(<x, y>) f(y) dsigma(y) by direct quadrature.
 
-    Coordinates are aligned with x so the kernel depends on the polar angle
-    alone and the integration band covers exactly the kernel support, where
-    everything is analytic; the azimuthal factor of a degree-k zonal term is
-    a trigonometric polynomial, integrated exactly by the uniform rule.
+    A point at angle theta from x is y = cos(theta) x + sin(theta) omega,
+    with omega on the unit sphere S^(d-2) of the tangent space at x, and
+    dsigma(y) = sin^(d-2)(theta) dtheta domega. For a zonal term with pole p,
+    a = <x, p> and b = sqrt(1 - a^2), <y, p> = cos(theta) a + sin(theta) b
+    cos(psi), where psi is the angle of omega from the tangent part of p. So
+    the integral is a double sum: Gauss-Legendre in theta over exactly the
+    kernel's support band, where everything is analytic, times
+    ``polar_rule(d - 1, polar_order)`` in psi, which carries the measure of
+    S^(d-2). The same rule, in one code path, serves every d >= 3.
 
     This is the independent check of the Funk-Hecke multiplier route.
     """
@@ -520,43 +400,23 @@ def convolve_at_point_quadrature(
     d = f.dim
     if x.shape != (d,):
         raise ValueError(f"point must have shape ({d},)")
-    a, b = g.support
-    th_lo = math.acos(min(1.0, b))
-    th_hi = math.acos(max(-1.0, a))
+    lo, hi = g.support
+    th_lo = math.acos(min(1.0, hi))
+    th_hi = math.acos(max(-1.0, lo))
     if not th_hi > th_lo:
         return 0.0
-    if d == 3:
-        n_phi = azimuth_order or max(2 * polar_order, 8)
-        rule = gauss_legendre(polar_order, th_lo, th_hi)
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        u = _frame_at(x)  # (2, 3)
-        theta = rule.nodes[:, None]
-        circ = np.cos(phi)[None, :, None] * u[0] + np.sin(phi)[None, :, None] * u[1]
-        pts = np.cos(theta)[:, :, None] * x + np.sin(theta)[:, :, None] * circ
-        vals = f.eval_many(pts.reshape(-1, 3)).reshape(len(rule.nodes), n_phi)
-        kern = g(np.cos(rule.nodes)) * np.sin(rule.nodes) * rule.weights
-        return float(np.dot(kern, vals.sum(axis=1)) * (2.0 * np.pi / n_phi))
-    # general d: restrict the full product grid to the support band in the
-    # leading polar angle, rotated so that x is the pole. A ring point is
-    # cos(theta) x + sin(theta) u^T omega' for omega' on S^(d-2), so each
-    # term needs only <x, pole> and <omega', u pole>, the latter from the
-    # grid's factors
-    rule = gauss_legendre(polar_order, th_lo, th_hi)
-    sub = sphere_grid_factors(d - 1, max(polar_order // 2, 12))
-    sub_w = sub.weights()
-    u = _frame_at(x)  # (d-1, d)
-    terms = [
-        (t, float(np.dot(x, t.pole)), sub.projection(u @ t.pole).ravel())
-        for t in f.terms
-    ]
-    total = 0.0
-    for theta, w in zip(rule.nodes, rule.weights):
-        c, s = math.cos(theta), math.sin(theta)
-        vals = np.zeros(sub_w.size)
-        for t, along, across in terms:
-            vals += t.weight * gegenbauer(t.degree, f.lam, c * along + s * across)
-        total += w * g(c) * s ** (d - 2) * float(np.dot(sub_w, vals))
-    return total
+    ring = gauss_legendre(polar_order, th_lo, th_hi)
+    c = np.cos(ring.nodes)[:, None]
+    s = np.sin(ring.nodes)[:, None]
+    across = polar_rule(d - 1, polar_order)
+    cos_psi = np.cos(across.nodes)
+    vals = np.zeros((ring.order, across.order))
+    for t in f.terms:
+        a = float(np.dot(x, t.pole))
+        b = math.sqrt(max(0.0, 1.0 - a * a))
+        vals += t.weight * gegenbauer(t.degree, f.lam, c * a + s * (b * cos_psi))
+    kern = g(np.cos(ring.nodes)) * np.sin(ring.nodes) ** (d - 2) * ring.weights
+    return float(kern @ (vals @ across.weights))
 
 
 # ----------------------------------------------------------------------

@@ -143,6 +143,24 @@ class TestOtherCommands:
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--cmd", "verify-identity", "--count", "0"], "count"),
+            (["--cmd", "verify-identity", "--count", "-4"], "count"),
+            (["--cmd", "sharpness", "--trials", "-7"], "trials"),
+            (["--cmd", "sharpness", "--trials", "0"], "trials"),
+            (["--cmd", "suite", "--count", "-1"], "count"),
+        ],
+    )
+    def test_nonpositive_count_or_trials_exit_2(self, tmp_path, capsys, args, flag):
+        # these used to run with nothing to do and report a pass
+        code = main(args + ["--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be >= 1" in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestSuiteDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from nodal_radius import eigenid
 from nodal_radius.specfun import AccuracyError, bessel_j, gamma_fn, gauss_legendre, sphere_surface
-from nodal_radius.sphere import unit_sphere_grid
 from nodal_radius.eigenid import (
     EigenMix,
     PlaneWaveEigen,
@@ -27,6 +26,7 @@ from nodal_radius.eigenid import (
     wave_factor,
     wave_pde_residual,
 )
+from grid_reference import reference_sphere_grid
 
 J0_AT_2 = 0.22389077914123567  # mpmath besselj(0, 2)
 
@@ -213,7 +213,7 @@ class TestRadialAverage:
 
 def pointwise_shell_sum(phi, x, s, order):
     """sum_j w_j phi(x + s omega_j) on the materialized product-rule grid."""
-    pts, w = unit_sphere_grid(phi.dim, order)
+    pts, w = reference_sphere_grid(phi.dim, order)
     return float(np.dot(w, phi.eval_many(x + s * pts)))
 
 

@@ -12,6 +12,7 @@ from nodal_radius.specfun import (
     gegenbauer,
     gegenbauer_max_root,
     gegenbauer_root_below,
+    polar_rule,
     sphere_surface,
 )
 from nodal_radius.sphere import (
@@ -27,10 +28,9 @@ from nodal_radius.sphere import (
     funk_hecke_eigenvalue,
     from_json,
     geodesic_distance,
-    sphere_grid_factors,
     to_json,
-    unit_sphere_grid,
 )
+from grid_reference import reference_sphere_grid
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -140,16 +140,24 @@ def _bisection_annihilator(m, d):
     return center, h
 
 
-def _convolve_by_grid(f, g, x, polar_order):
-    """Copy of the earlier d > 3 branch of convolve_at_point_quadrature."""
+def _tangent_frame(x):
+    """Rows: an orthonormal basis of the tangent space at the unit vector x."""
+    q, _ = np.linalg.qr(np.column_stack([x, np.eye(x.size)]))
+    return q[:, 1:].T
+
+
+def _convolve_by_grid(f, g, x, polar_order, grid_order):
+    """convolve_at_point_quadrature's integral with each ring at angle theta
+    from x laid out pointwise as the product grid of S^(d-2), of
+    ``grid_order``, in the tangent space at x."""
     d = f.dim
     a, b = g.support
     rule = gauss_legendre(polar_order, math.acos(min(1.0, b)), math.acos(max(-1.0, a)))
-    sub_pts, sub_w = unit_sphere_grid(d - 1, max(polar_order // 2, 12))
-    u = sphere._frame_at(x)
+    sub_pts, sub_w = reference_sphere_grid(d - 1, grid_order)
+    across = sub_pts @ _tangent_frame(x)
     total = 0.0
     for theta, w in zip(rule.nodes, rule.weights):
-        ring = math.cos(theta) * x + math.sin(theta) * (sub_pts @ u)
+        ring = math.cos(theta) * x + math.sin(theta) * across
         vals = f.eval_many(ring)
         total += w * g(math.cos(theta)) * math.sin(theta) ** (d - 2) * float(
             np.dot(sub_w, vals)
@@ -269,8 +277,24 @@ class TestFunkHecke:
             direct = convolve_at_point_quadrature(f, g, x, polar_order=48)
             assert abs(direct - lam_k * f.eval(x)) <= 1e-6 * scale
 
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_polar_rule_matches_funk_hecke(self, d):
+        # every degree up to 14, at the polar orders the fidelity tests use
+        rng = np.random.default_rng(60 + d)
+        g = ZonalKernel.bump(0.3, 0.2)
+        for k in range(1, 15):
+            f = zonal(d, k, random_unit(rng, d), weight=float(rng.normal()) or 1.0)
+            lam_k = funk_hecke_eigenvalue(g, k, d)
+            scale = abs(lam_k) * gegenbauer(k, f.lam, 1.0) * abs(f.terms[0].weight)
+            for polar_order in (48, 60):
+                x = random_unit(rng, d)
+                direct = convolve_at_point_quadrature(f, g, x, polar_order=polar_order)
+                assert abs(direct - lam_k * f.eval(x)) <= 1e-12 * scale
+
     @pytest.mark.parametrize("d", [4, 5, 6])
-    def test_grid_factor_branch_matches_grid_points(self, d):
+    def test_polar_rule_matches_product_grid(self, d):
+        # the product grid of S^(d-2) resolves these degrees to ~1e-14 at
+        # order 16 (at order 12 it is still 6e-9 off in d = 6)
         rng = np.random.default_rng(40 + d)
         f = SphereFn(
             d,
@@ -280,11 +304,15 @@ class TestFunkHecke:
             ],
         )
         g = ZonalKernel.bump(0.3, 0.2)
+        scale = max(
+            abs(funk_hecke_eigenvalue(g, t.degree, d) * t.weight) * gegenbauer(t.degree, f.lam, 1.0)
+            for t in f.terms
+        )
         for _ in range(3):
             x = random_unit(rng, d)
             got = convolve_at_point_quadrature(f, g, x, polar_order=24)
-            want = _convolve_by_grid(f, g, x, polar_order=24)
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            want = _convolve_by_grid(f, g, x, polar_order=24, grid_order=16)
+            assert abs(got - want) <= 1e-12 * scale
 
     def test_multiplier_linearity_in_kernel(self):
         g = ZonalKernel.bump(0.2, 0.15)
@@ -508,97 +536,35 @@ class TestGeodesic:
 
 
 class TestSurfaceGrid:
+    """The tests' reference product grid, which checks the polar rules."""
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_total_weight_is_surface_area(self, n):
-        pts, w = unit_sphere_grid(n, 16)
+        pts, w = reference_sphere_grid(n, 16)
         assert float(w.sum()) == pytest.approx(sphere_surface(n), rel=1e-10)
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
     def test_integrates_coordinate_moments(self):
         # int x_i^2 over S^(n-1) = surface / n
         for n in [3, 5]:
-            pts, w = unit_sphere_grid(n, 20)
+            pts, w = reference_sphere_grid(n, 20)
             for i in range(n):
                 got = float(np.dot(w, pts[:, i] ** 2))
                 assert got == pytest.approx(sphere_surface(n) / n, rel=1e-9)
 
-
-def reference_sphere_grid(n, order):
-    """The product grid built point by point from meshgrids of its angles,
-    as unit_sphere_grid built it before it took the per-axis factors."""
-    from nodal_radius.specfun import gauss_legendre
-
-    n_phi = 2 * order
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    w_phi = np.full(n_phi, 2.0 * np.pi / n_phi)
-    if n == 2:
-        return np.stack([np.cos(phi), np.sin(phi)], axis=1), w_phi
-    rule = gauss_legendre(order, 0.0, math.pi)
-    mesh = np.meshgrid(*([rule.nodes] * (n - 2) + [phi]), indexing="ij")
-    wmesh = np.meshgrid(*([rule.weights] * (n - 2) + [w_phi]), indexing="ij")
-    theta = [m.ravel() for m in mesh]
-    weight = np.ones(theta[0].size)
-    for wm in wmesh:
-        weight = weight * wm.ravel()
-    for i in range(n - 2):
-        weight = weight * np.sin(theta[i]) ** (n - 2 - i)
-    coords = np.empty((theta[0].size, n))
-    sin_prod = np.ones(theta[0].size)
-    for i in range(n - 2):
-        coords[:, i] = sin_prod * np.cos(theta[i])
-        sin_prod = sin_prod * np.sin(theta[i])
-    coords[:, n - 2] = sin_prod * np.cos(theta[n - 2])
-    coords[:, n - 1] = sin_prod * np.sin(theta[n - 2])
-    return coords, weight
-
-
-class TestGridFactors:
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_projection_matches_points(self, n):
-        rng = np.random.default_rng(100 + n)
-        for order in (3, 5):
-            pts, _ = unit_sphere_grid(n, order)
-            grid = sphere_grid_factors(n, order)
-            for _ in range(3):
-                k = rng.normal(size=n) * rng.uniform(0.5, 20.0)
-                g = grid.projection(k)
-                assert g.shape == (order,) * (n - 2) + (2 * order,)
-                err = np.max(np.abs(g.ravel() - pts @ k))
-                assert err <= 1e-14 * np.linalg.norm(k)
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_separable_weights_multiply_out(self, n):
-        for order in (3, 5):
-            _, w = unit_sphere_grid(n, order)
-            grid = sphere_grid_factors(n, order)
-            assert len(grid.axis_weights) == n - 1
-            prod = np.ones(1)
-            for aw in grid.axis_weights:
-                prod = np.outer(prod, aw).ravel()
-            assert np.allclose(prod, w, rtol=1e-14, atol=0.0)
-            # the axes after the first angle carry the rule on S^(n-2)
-            tail = unit_sphere_grid(n - 1, order)[1] if n > 2 else np.ones(1)
-            assert np.allclose(grid.weights(start=1), tail, rtol=1e-14, atol=0.0)
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_grid_matches_reference_builder(self, n):
-        # same rule, same point order as the meshgrid construction
-        for order in (3, 5):
-            pts, w = unit_sphere_grid(n, order)
-            ref_pts, ref_w = reference_sphere_grid(n, order)
-            assert np.allclose(pts, ref_pts, rtol=0.0, atol=1e-15)
-            assert np.allclose(w, ref_w, rtol=1e-14, atol=0.0)
-
-    def test_factors_read_only(self):
-        grid = sphere_grid_factors(4, 6)
-        for arr in (grid.polar, grid.polar_weights, grid.azimuth) + grid.axis_weights:
-            assert not arr.flags.writeable
-        pts, w = unit_sphere_grid(4, 6)
-        assert not pts.flags.writeable and not w.flags.writeable
-
-    def test_projection_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            sphere_grid_factors(4, 6).projection(np.ones(3))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_polar_rule_matches_grid_on_zonal_functions(self, n):
+        # int h(<omega, p>) over S^(n-1) for h of degree 6 and any pole p; the
+        # grid of order 16 resolves it to 2.4e-12 in n = 6
+        rng = np.random.default_rng(80 + n)
+        pts, w = reference_sphere_grid(n, 16)
+        rule = polar_rule(n, 24)
+        h = np.polynomial.Polynomial(rng.normal(size=7))
+        got = float(np.dot(rule.weights, h(np.cos(rule.nodes))))
+        for _ in range(3):
+            want = float(np.dot(w, h(pts @ random_unit(rng, n))))
+            assert got == pytest.approx(want, rel=1e-11)
+        assert not rule.weights.flags.writeable
 
 
 class TestJson:
