@@ -2,9 +2,9 @@
 suites, and emit CSV/JSON reports plus optional SVG sign-pattern plots.
 
 Exit codes: 0 all asserted bounds/identities passed; 1 at least one check
-failed; 2 input could not be parsed (the message names the offending
-field); 3 a quadrature could not reach its tolerance (the failing cases are
-listed).
+failed; 2 input could not be parsed or the report cannot hold it (the
+message names the offending field); 3 a quadrature could not reach its
+tolerance (the failing cases are listed).
 
 The CSV report starts with a timestamp comment line; everything below it is
 byte-deterministic for a fixed seed.
@@ -141,7 +141,10 @@ def _random_plane_wave(rng, n: int, lam: float, n_waves: int = 2):
     return eigenid.PlaneWaveEigen(n, lam, waves)
 
 
-def _load_input(cfg: RunConfig, loader):
+def _load_input(cfg: RunConfig, loader, dims):
+    """The instance in the input file, None without one. Its dim must lie
+    in ``dims``: a sign report holds three center coordinates, and the
+    sphere search samples S^2 only."""
     if cfg.input_path is None:
         return None
     try:
@@ -153,9 +156,12 @@ def _load_input(cfg: RunConfig, loader):
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"malformed JSON in {cfg.input_path}: {exc}") from exc
     try:
-        return loader(data)
+        f = loader(data)
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
+    if f.dim not in dims:
+        raise ParseFailure(f"{cfg.command} takes dim in {list(dims)}, got {f.dim}")
+    return f
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +171,7 @@ def _load_input(cfg: RunConfig, loader):
 
 
 def _run_analyze_trig(cfg: RunConfig):
-    f = _load_input(cfg, torus.from_dict) or _default_trig()
+    f = _load_input(cfg, torus.from_dict, (1, 2, 3)) or _default_trig()
     res = cfg.resolution if f.dim <= 2 else min(cfg.resolution, 96)
     dom = signsearch.SearchDomain.torus(f.dim, res)
     rows, ok = _bound_rows(
@@ -188,7 +194,7 @@ def _run_analyze_trig(cfg: RunConfig):
 
 
 def _run_analyze_sphere(cfg: RunConfig):
-    f = _load_input(cfg, sphere.from_dict) or _default_sphere()
+    f = _load_input(cfg, sphere.from_dict, (3,)) or _default_sphere()
     res = min(cfg.resolution, 160)
     dom = signsearch.SearchDomain.sphere(3, res)
     rows, ok = _bound_rows(
@@ -203,7 +209,7 @@ def _run_analyze_sphere(cfg: RunConfig):
 
 
 def _run_analyze_mix(cfg: RunConfig):
-    mix = _load_input(cfg, eigenid.mix_from_dict) or _default_mix()
+    mix = _load_input(cfg, eigenid.mix_from_dict, (2, 3)) or _default_mix()
     bound = eigenid.bound_theorem3(mix)
     L = 2.0 * bound
     res = cfg.resolution if mix.dim <= 2 else min(cfg.resolution, 96)
@@ -396,6 +402,8 @@ def _split_tol_flags(argv):
         arg = argv[i]
         if arg.startswith("--tol."):
             name, eq, val = arg[6:].partition("=")
+            if name != "residual":
+                raise ParseFailure(f"unknown tolerance --tol.{name}; the only one is --tol.residual")
             if not eq:
                 if i + 1 >= len(argv):
                     raise ParseFailure(f"flag --tol.{name} needs a value")

@@ -15,22 +15,24 @@ Every report is built in one place, and ``verify_bound`` compares it with
 a theoretical radius bound.
 
 Grid distances are computed only where the largest ball can be
-(``_grid_argmax``). A stride-2 coarse EDT per sign gives an exact upper
-bound on every fine distance: the coarse cells of another sign are fine
-cells of another sign, and every fine cell lies within one grid diagonal
-h*sqrt(d) of a coarse cell, so coarse distance + h*sqrt(d) bounds it. Tiles
-of cells are visited by decreasing bound until the bound falls below the
-best fine distance found; each gets a fine EDT of a window padded by its
-bound, which holds the nearest cell of another sign of every tile cell, so
-the result is exact. A sign falls back to one distance transform of the
-whole grid when the windows would cover more cells, when an axis has odd
-n, or when its coarse grid holds no cell of another sign: a separable
-min-plus transform in numpy (``_min_plus_edt``), exact per line on axis 0
-and searching the later axes only as far as the top tile bound reaches
-(without tile bounds, from a fixed reach grown once to the answer). The
-nearest cell of another sign is then looked for within the answer's
-radius of the center. The sphere's graph distances come from one compiled
-multi-source Dijkstra per sign (``scipy.sparse.csgraph``).
+(``_grid_argmax``). A min-plus distance transform of the stride-2 coarse
+grid per sign gives an exact upper bound on every fine distance: the coarse
+cells of another sign are fine cells of another sign, and every fine cell
+lies within one grid diagonal h*sqrt(d) of a coarse cell, so coarse
+distance + h*sqrt(d) bounds it. Tiles of cells are visited by decreasing
+bound until the bound falls below the best fine distance found; each gets a
+fine EDT of a window padded by its bound, which holds the nearest cell of
+another sign of every tile cell, so the result is exact. A sign falls back
+to one distance transform of the whole grid when the windows would cover
+more cells, or when its coarse grid holds no cell of another sign.
+
+Both the coarse grids and the whole-grid fallbacks take one separable
+min-plus transform in numpy (``_min_plus_edt``), at a reach that already
+bounds every distance it returns, so none is redone: a coarse grid and a
+sign without tile bounds take each axis's cap, and a fallback sign takes
+its top tile bound in cells. The nearest cell of another sign is then looked for within the
+answer's radius of the center. The sphere's graph distances come from one
+compiled multi-source Dijkstra per sign (``scipy.sparse.csgraph``).
 
 The reported r_lower is a certificate *at grid resolution*: no sampled
 point within r_lower of the center has the opposite sign. r_upper adds one
@@ -63,7 +65,6 @@ from .torus import TrigPoly, _cosine_grid
 _NEAR_ZERO = 1e-12
 _REFINE_STEPS = 40
 _SPHERE_KNN = 8
-_TORUS_PAD = 8
 _TILE = 8  # cells per axis of a coarse-to-fine search tile (even)
 _EDT_CALL_CELLS = 512  # the fixed cost of one EDT call, in cells
 _SLAB_CELLS = 1 << 15  # cells per slab of the min-plus passes, sized to stay in cache
@@ -186,11 +187,12 @@ def _signs(values: np.ndarray) -> np.ndarray:
     return np.where(values > thresh, 1, np.where(values < -thresh, -1, 0))
 
 
-def _min_plus_edt(mine: np.ndarray, spacing, periodic: bool, reach):
+def _min_plus_edt(mine: np.ndarray, spacing, periodic: bool, reach) -> np.ndarray:
     """Per cell of ``mine``, the exact Euclidean distance to the nearest cell
-    outside it (nearest image on the torus), looked for within ``reach``
-    cells on each axis after the first; returns the distances and the reach
-    that gave them.
+    outside it (nearest image on the torus), provided every such distance
+    is at most reach[i] * h_i on every axis i after the first, or that
+    axis's reach is at its cap. The caller gives such a reach: the caps, or
+    a proven upper bound on every distance in cells.
 
     Axis 0 takes, per line, the nearest outside cell on either side from
     running max / min indices (wrapping on the torus), so it is searched
@@ -205,10 +207,8 @@ def _min_plus_edt(mine: np.ndarray, spacing, periodic: bool, reach):
     so each value is the least of scipy's own float formula over the cells
     within reach: never above scipy's EDT (below it, by an ulp in the cases
     seen, where rounding throws scipy's feature choice off at a tie), and
-    never below the true distance.
-    So if the largest value is at most reach[i] * h_i on every axis not at
-    its cap, the result is exact; otherwise the later axes are redone once
-    with reach ceil(max / h) + 1, which bounds every true distance.
+    never below the true distance. A reach that holds every nearest outside
+    cell therefore makes the result exact.
     """
     shape, d = mine.shape, mine.ndim
     caps = [n // 2 if periodic else n - 1 for n in shape]
@@ -231,22 +231,14 @@ def _min_plus_edt(mine: np.ndarray, spacing, periodic: bool, reach):
         right = np.where(right >= n0, right[:1] + n0, right)
     step = np.minimum(np.minimum(i - left, right - i), n0)
     sq = np.append((np.arange(n0) * spacing[0]) ** 2, np.inf)
-    axis0 = sq[step]  # step n0 (no outside cell on the line) reads +inf
-    reach = [caps[0]] + [min(r, c) for r, c in zip(reach[1:], caps[1:])]
+    dist = sq[step]  # step n0 (no outside cell on the line) reads +inf
     rows = max(1, _SLAB_CELLS * n0 // mine.size)
-    while True:
-        dist = np.empty(shape)
-        for a in range(0, n0, rows):
-            g = axis0[a:a + rows]
-            for ax in range(1, d):
-                g = _min_plus_axis(g, ax, reach[ax], spacing[ax], periodic)
-            dist[a:a + rows] = g
-        np.sqrt(dist, out=dist)
-        top = float(dist.max())
-        if all(r == c or top <= r * h for r, c, h in zip(reach, caps, spacing)):
-            return dist, reach
-        reach = [caps[0]] + [c if not math.isfinite(top) else min(math.ceil(top / h) + 1, c)
-                             for h, c in zip(spacing[1:], caps[1:])]
+    for a in range(0, n0, rows):
+        g = dist[a:a + rows]
+        for ax in range(1, d):
+            g = _min_plus_axis(g, ax, min(reach[ax], caps[ax]), spacing[ax], periodic)
+        dist[a:a + rows] = g
+    return np.sqrt(dist, out=dist)
 
 
 def _min_plus_axis(g: np.ndarray, ax: int, reach: int, h: float, periodic: bool) -> np.ndarray:
@@ -276,23 +268,17 @@ def _min_plus_axis(g: np.ndarray, ax: int, reach: int, h: float, periodic: bool)
 def _tile_bounds(mine: np.ndarray, spacing, periodic: bool, diag: float):
     """Upper bounds on the fine distances of ``mine``'s cells, per tile of
     ``_TILE`` cells per axis: (bounds, tile origins), by decreasing bound
-    (ties by tile index). None on a grid with an odd axis, and where the
-    stride-2 coarse grid has no cell outside ``mine``."""
-    if any(n % 2 for n in mine.shape):
-        return None
+    (ties by tile index). None where the stride-2 coarse grid has no cell
+    outside ``mine``.
+
+    The coarse distances come from ``_min_plus_edt`` at the caps, so they
+    are exact on the coarse grid. On a torus with odd n the coarse ring of
+    ceil(n / 2) cells of 2h is longer than the torus, which only stretches
+    distances, so they still bound the fine ones."""
     coarse = mine[(slice(None, None, 2),) * mine.ndim]
     if coarse.all():
         return None
-    cspacing = tuple(2.0 * h for h in spacing)
-    if periodic:
-        # one EDT at a fixed wrap pad: its distances are never below the
-        # true ones, which is all a bound needs
-        pad = [min(_TORUS_PAD // 2, n // 2) for n in coarse.shape]
-        dc = distance_transform_edt(np.pad(coarse, [(p, p) for p in pad], mode="wrap"),
-                                    sampling=cspacing)
-        dc = dc[tuple(slice(p, p + n) for p, n in zip(pad, coarse.shape))]
-    else:
-        dc = distance_transform_edt(coarse, sampling=cspacing)
+    dc = _min_plus_edt(coarse, tuple(2.0 * h for h in spacing), periodic, coarse.shape)
     step = _TILE // 2
     for ax in range(dc.ndim):
         dc = np.maximum.reduceat(dc, np.arange(0, dc.shape[ax], step), axis=ax)
@@ -309,7 +295,7 @@ def _grid_argmax(sgn: np.ndarray, spacing, periodic: bool):
     Equal to the argmax of a full-grid EDT per sign, found coarse to fine.
     Stride-2 coarse cells of another sign are fine cells of another sign,
     and every fine cell lies within one grid diagonal h*sqrt(d) of a coarse
-    cell of its tile, so a coarse EDT plus the diagonal bounds the fine
+    cell of its tile, so a coarse distance plus the diagonal bounds the fine
     distance of every cell of a tile (``_tile_bounds``; a relative slack of
     a few ulps covers the collinear case, where the bound is met). Tiles
     are visited by decreasing bound, the best sign's first, and stop at
@@ -323,19 +309,17 @@ def _grid_argmax(sgn: np.ndarray, spacing, periodic: bool):
     A sign takes one transform of the whole grid (``_min_plus_edt``) when
     the windows still planned would cover more cells than a whole-grid EDT
     wrap-padded by the top tile's window pad, counting ``_EDT_CALL_CELLS``
-    per call; its reach is then the top bound in cells, which bounds every
-    distance of the sign, so it does not regrow. A sign without tile bounds
-    also takes the whole grid, from a reach of ``_TORUS_PAD`` cells, carried
-    from sign to sign and grown once if the answer needs it. The plan holds
-    the tiles whose bound reaches the running best r; before any fine
-    distance is known, r is estimated as the top bound less one diagonal. A
-    sign with no cells, or with no cells of another sign, is skipped.
+    per call, or when it has no tile bounds. Its reach bounds every distance
+    of the sign, so the transform is exact in one pass: the top tile bound
+    in cells, or without tile bounds each axis's cap. The plan holds the
+    tiles whose bound reaches the running best r; before any fine distance
+    is known, r is estimated as the top bound less one diagonal. A sign with
+    no cells, or with no cells of another sign, is skipped.
     """
     shape, d = sgn.shape, sgn.ndim
     diag = math.sqrt(sum(h * h for h in spacing))
     caps = np.array([n // 2 for n in shape])
     best_r, best_flat = 0.0, -1
-    grown = [_TORUS_PAD] * d  # the whole-grid reach without tile bounds, carried from sign to sign
 
     def offer(dist, origin):
         nonlocal best_r, best_flat
@@ -346,10 +330,8 @@ def _grid_argmax(sgn: np.ndarray, spacing, periodic: bool):
         if r > best_r or (r == best_r and flat < best_flat):
             best_r, best_flat = r, flat
 
-    def whole(mine, start):
-        dist, reached = _min_plus_edt(mine, spacing, periodic, start)
-        offer(dist, (0,) * d)
-        return reached
+    def whole(mine, reach):
+        offer(_min_plus_edt(mine, spacing, periodic, reach), (0,) * d)
 
     plans = []
     for s in (1, -1):
@@ -359,7 +341,7 @@ def _grid_argmax(sgn: np.ndarray, spacing, periodic: bool):
     plans.sort(key=lambda p: -math.inf if p[1] is None else -p[1][0][0])
     for mine, tiles in plans:
         if tiles is None:
-            grown = whole(mine, grown)
+            whole(mine, shape)
             continue
         bound, origin = tiles
         reach = np.ceil(bound[:, None] / np.array(spacing)).astype(np.intp) + 1
@@ -497,17 +479,17 @@ def _grid_sample(f, dom: SearchDomain):
     meshgrid of (N, d) points.
 
     The search centers the ball on the first cell of largest distance to
-    another sign, found coarse to fine by ``_grid_argmax``: a stride-2
-    coarse EDT plus one grid diagonal bounds the fine distances of each
-    tile, and only tiles whose bound reaches the best distance so far get a
-    fine EDT, of a window padded by that bound, which holds the nearest
-    cell of another sign of every tile cell and so is exact. A sign takes
-    one whole-grid min-plus transform instead, searched as far as its top
-    tile bound, when its windows would cover more cells, an axis has odd n,
-    or its coarse grid has no cell of another sign. The search then finds
-    the nearest cell of another sign within that distance of the center
-    (``_nearest_other``) and bisects along the segment (t in [0, 1]) to
-    it."""
+    another sign, found coarse to fine by ``_grid_argmax``: a min-plus
+    transform of the stride-2 coarse grid plus one grid diagonal bounds the
+    fine distances of each tile, and only tiles whose bound reaches the best
+    distance so far get a fine EDT, of a window padded by that bound, which
+    holds the nearest cell of another sign of every tile cell and so is
+    exact. A sign takes one whole-grid min-plus transform instead when its
+    windows would cover more cells, searched as far as its top tile bound,
+    or when its coarse grid has no cell of another sign, searched to the
+    caps. The search then finds the nearest cell of another sign within that
+    distance of the center (``_nearest_other``) and bisects along the
+    segment (t in [0, 1]) to it."""
     n, d = dom.resolution, dom.dim
     periodic = dom.kind == "torus"
     if periodic:

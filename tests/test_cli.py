@@ -123,6 +123,39 @@ class TestOtherCommands:
         )
         assert code == 2
 
+    def test_unknown_tolerance_exit_2(self, tmp_path, capsys):
+        # a misspelt name used to be ignored, and the run passed
+        code = main(
+            ["--cmd", "verify-identity", "--tol.residul", "1e-30", "--count", "1",
+             "--out", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "residul" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "cmd, text",
+        [
+            ("analyze-trig", '{"dim": 4, "terms": [{"k": [1, 0, 0, 1], "re": 0.5, "im": 0.0}]}'),
+            ("analyze-sphere", '{"dim": 4, "terms": [{"k": 2, "pole": [0, 0, 0, 1], "w": 1.0}]}'),
+            ("analyze-mix", '{"dim": 4, "parts": [{"coef": 1.0, "eigen": {"dim": 4, "lambda": 4.0,'
+                            ' "waves": [{"k": [2.0, 0.0, 0.0, 0.0], "amp": 1.0, "phase": 0.0}]}}]}'),
+        ],
+        ids=["trig", "sphere", "mix"],
+    )
+    def test_dim_the_report_cannot_hold_exit_2(self, tmp_path, capsys, cmd, text):
+        # the sign report has three center columns, and the sphere search
+        # samples S^2: a dim-4 trig or mix input used to drop cx3 and pass,
+        # and a dim-4 sphere input crashed in a matrix product (exit 1)
+        inp = tmp_path / "dim4.json"
+        inp.write_text(text)
+        code = main(["--cmd", cmd, "--input", str(inp), "--resolution", "16",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "dim" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_low_resolution_exit_2(self, tmp_path):
         code = main(
             ["--cmd", "analyze-trig", "--resolution", "8", "--out", str(tmp_path)]

@@ -115,38 +115,43 @@ def radius_argmax(radius):
     return flat, float(radius.flat[flat])
 
 
-def edt_shapes(monkeypatch):
-    """Record the input shape of every distance transform signsearch runs:
-    scipy's EDT on coarse grids and windows, and the whole-grid min-plus
-    transform."""
+def transform_kind(mine, grid_shape):
+    """"whole" for a min-plus transform of the whole grid, "coarse" for one
+    of the stride-2 coarse grid, which has fewer cells per axis."""
+    return "whole" if mine.shape == tuple(grid_shape) else "coarse"
+
+
+def edt_shapes(monkeypatch, grid_shape):
+    """Record (kind, input shape) of every distance transform signsearch
+    runs on a grid of ``grid_shape``: "window" for scipy's EDT of a tile
+    window, and "coarse" or "whole" for the min-plus transform."""
     shapes = []
     min_plus = signsearch._min_plus_edt
 
     def edt(a, **kw):
-        shapes.append(a.shape)
+        shapes.append(("window", a.shape))
         return distance_transform_edt(a, **kw)
 
-    def whole(mine, *args):
-        shapes.append(mine.shape)
+    def transform(mine, *args):
+        shapes.append((transform_kind(mine, grid_shape), mine.shape))
         return min_plus(mine, *args)
 
     monkeypatch.setattr(signsearch, "distance_transform_edt", edt)
-    monkeypatch.setattr(signsearch, "_min_plus_edt", whole)
+    monkeypatch.setattr(signsearch, "_min_plus_edt", transform)
     return shapes
 
 
-def min_plus_reaches(monkeypatch):
-    """Record (start reach, final reach) of every whole-grid min-plus
-    transform signsearch runs."""
+def min_plus_reaches(monkeypatch, grid_shape):
+    """Record (kind, reach) of every min-plus transform signsearch runs on
+    a grid of ``grid_shape``, kind "coarse" or "whole"."""
     reaches = []
     min_plus = signsearch._min_plus_edt
 
-    def whole(mine, spacing, periodic, reach):
-        dist, grown = min_plus(mine, spacing, periodic, reach)
-        reaches.append((list(reach), list(grown)))
-        return dist, grown
+    def transform(mine, spacing, periodic, reach):
+        reaches.append((transform_kind(mine, grid_shape), list(reach)))
+        return min_plus(mine, spacing, periodic, reach)
 
-    monkeypatch.setattr(signsearch, "_min_plus_edt", whole)
+    monkeypatch.setattr(signsearch, "_min_plus_edt", transform)
     return reaches
 
 
@@ -164,45 +169,42 @@ class TestTorusDistances:
                 full_pad_torus_radius(sgn, spacing)
             )
 
-    def test_first_pad_too_small_grows(self, monkeypatch):
+    def test_odd_fallback_reach_from_bound(self, monkeypatch):
         # quadrants of cos 2 pi x cos 2 pi y: distances reach 64 cells of 255;
-        # the odd n takes the whole-grid transform, whose first reach is too
-        # small on axis 1; the second sign starts from the grown reach
+        # both signs of the odd n fall back to the whole grid, searched as far
+        # as the top tile bound in cells, which reaches the answer short of
+        # the cap
         n = 255
         x = np.arange(n) / n
         sgn = _signs(np.cos(2 * np.pi * x)[:, None] * np.cos(2 * np.pi * x)[None, :])
         spacing = (1.0 / n, 1.0 / n)
-        reaches = min_plus_reaches(monkeypatch)
+        reaches = min_plus_reaches(monkeypatch, sgn.shape)
         got = _grid_argmax(sgn, spacing, periodic=True)
         assert got == radius_argmax(full_pad_torus_radius(sgn, spacing))
-        (start, grown), (second, _) = reaches
-        assert start[1] == signsearch._TORUS_PAD
-        assert signsearch._TORUS_PAD < grown[1] < n // 2
-        assert second == grown
+        whole = [reach for kind, reach in reaches if kind == "whole"]
+        assert len(whole) == 2
+        for reach in whole:
+            assert all(math.ceil(got[1] / h) <= r < n // 2 for r, h in zip(reach, spacing))
 
     def test_far_region_reaches_cap(self, monkeypatch):
         # a small positive blob at (4, 4) cells, negative elsewhere, so the
-        # negative cells' distances reach across half the torus: the even n
-        # runs one tile window, whose pad reaches its cap of n // 2 cells, and
-        # the odd n the whole-grid transform, whose reach reaches that cap
+        # negative cells' distances reach across half the torus: even and odd
+        # n run tile windows whose pad reaches its cap of n // 2 cells, and no
+        # whole-grid transform
         for n in (256, 65):
             x = (np.arange(n) - 4) / n
             values = np.cos(2 * np.pi * x)[:, None] + np.cos(2 * np.pi * x)[None, :] - 1.9
             sgn = _signs(values)
             assert (sgn == 1).any() and (sgn == -1).any()
             spacing = (1.0 / n, 1.0 / n)
-            shapes = edt_shapes(monkeypatch)
-            reaches = min_plus_reaches(monkeypatch)
+            shapes = edt_shapes(monkeypatch, sgn.shape)
             got = _grid_argmax(sgn, spacing, periodic=True)
             monkeypatch.undo()
             assert got == radius_argmax(full_pad_torus_radius(sgn, spacing))
-            if n % 2 == 0:
-                window = signsearch._TILE + 2 * (n // 2)
-                assert (window, window) in shapes
-                assert all(max(shape) <= window for shape in shapes)
-                assert not reaches
-            else:
-                assert any(grown[1] == n // 2 for _, grown in reaches)
+            window = signsearch._TILE + 2 * (n // 2)
+            assert ("window", (window, window)) in shapes
+            assert all(max(shape) <= window for _, shape in shapes)
+            assert "whole" not in {kind for kind, _ in shapes}
 
     def test_sign_without_cells_skipped(self, monkeypatch):
         # positive cells and zeros only: no EDT runs for the negative sign
@@ -240,7 +242,7 @@ class TestTileBounds:
 
     def test_torus(self):
         rng = np.random.default_rng(3)
-        for n in range(16, 100, 2):
+        for n in range(16, 100):
             for dim in (1, 1, 2):
                 f = random_trig_poly(rng, dim, max_shells=3, max_norm=max(1, n // 20))
                 sgn = _signs(f.eval_grid(n))
@@ -248,7 +250,7 @@ class TestTileBounds:
                 self.assert_bounds_hold(sgn, spacing, True, full_pad_torus_radius(sgn, spacing))
 
     def test_box(self):
-        for n in (64, 130, 256):
+        for n in (64, 129, 130, 256):
             for sgn, _, spacing, _ in random_box_grids(2, n, 2):
                 radius = np.zeros(sgn.shape)
                 for s in (1, -1):
@@ -387,9 +389,9 @@ SEARCH_CASES = {
     "odd-cells-only-n128": lambda: odd_only_grids(128),
     "fallback-torus-d3-n96": lambda: multi_cosine_torus_grids(96, 8, 10, 0),
 }
-# cases in which some grid must run tile windows, not only whole-grid EDTs
+# cases in which some grid must run tile windows, not only whole-grid transforms
 WINDOWED = {"torus-d1-n4096", "torus-d2-n256", "torus-d2-n512", "torus-d3-n96",
-            "box-d2-n256", "box-d3-n96", "zeros-n256"}
+            "box-d2-n256", "box-d3-n96", "zeros-n256", "odd-torus-d2-n255", "odd-box-d2-n255"}
 
 
 class TestCoarseToFineSearch:
@@ -403,35 +405,43 @@ class TestCoarseToFineSearch:
         windowed = False
         for sgn, axes, spacing, periodic in SEARCH_CASES[case]():
             *want, whole_cells = reference_search_step(sgn, axes, spacing, periodic)
-            shapes = edt_shapes(monkeypatch)
+            shapes = edt_shapes(monkeypatch, sgn.shape)
             flat, r = _grid_argmax(sgn, spacing, periodic)
             monkeypatch.undo()
             delta, dist2 = _nearest_other(sgn, flat, r, axes, spacing, periodic)
             assert (flat, r) == tuple(want[:2])
             assert np.array_equal(delta, want[2]) and dist2 == want[3]
-            assert sum(np.prod(s) for s in shapes) <= 1.5 * whole_cells
-            windowed |= any(np.prod(s) < sgn.size >> sgn.ndim for s in shapes)
-            if case.startswith("odd"):
-                assert not windowed  # odd n or no coarse cells: whole-grid EDTs only
+            assert sum(np.prod(s) for _, s in shapes) <= 1.5 * whole_cells
+            windowed |= any(kind == "window" for kind, _ in shapes)
         assert windowed or case not in WINDOWED
 
     def test_fallback_reach_from_bound(self, monkeypatch):
         # both signs of the multi-term torus fall back to the whole grid; each
         # transform's reach is the top tile bound in cells, which bounds every
-        # distance, so none regrows
+        # distance
         ((sgn, _, spacing, periodic),) = SEARCH_CASES["fallback-torus-d3-n96"]()
         diag = math.sqrt(sum(h * h for h in spacing))
-        reaches = min_plus_reaches(monkeypatch)
+        reaches = min_plus_reaches(monkeypatch, sgn.shape)
         _grid_argmax(sgn, spacing, periodic)
         monkeypatch.undo()
         want = []
         for s in (1, -1):
             top = signsearch._tile_bounds(sgn == s, spacing, periodic, diag)[0][0]
-            want.append([math.ceil(top / h) for h in spacing[1:]])
-        assert len(reaches) == 2
-        for start, grown in reaches:
-            assert grown[1:] == start[1:]
-        assert sorted(start[1:] for start, _ in reaches) == sorted(want)
+            want.append([math.ceil(top / h) for h in spacing])
+        assert sorted(reach for kind, reach in reaches if kind == "whole") == sorted(want)
+
+    def test_odd_only_grids_take_caps_once(self, monkeypatch):
+        # the positive sign has no coarse cell of another sign, so it takes
+        # one whole-grid transform at the caps; the negative sign's tile
+        # bounds all fall below the answer
+        for sgn, _, spacing, periodic in odd_only_grids(128):
+            reaches = min_plus_reaches(monkeypatch, sgn.shape)
+            _grid_argmax(sgn, spacing, periodic)
+            monkeypatch.undo()
+            caps = [n // 2 if periodic else n - 1 for n in sgn.shape]
+            whole = [reach for kind, reach in reaches if kind == "whole"]
+            assert len(whole) == 1
+            assert all(r >= c for r, c in zip(whole[0], caps))
 
 
 def brute_distances(mine, spacing, periodic):
@@ -480,30 +490,37 @@ KERNEL_SHAPES = [((64,), (0.3,)), ((65,), (0.3,)), ((24, 24), (0.2, 0.2)), ((23,
                  ((10, 10, 10), (0.5, 0.5, 0.5)), ((9, 10, 11), (0.05, 0.3, 0.17))]
 
 
+def tightest_reach(mine, spacing, periodic):
+    """ceil(max brute distance / h_i) per axis: the least reach that holds
+    every cell's nearest outside cell."""
+    top = float(brute_distances(mine, spacing, periodic).max())
+    return [math.ceil(top / h) for h in spacing]
+
+
 class TestMinPlusEdt:
-    """The whole-grid min-plus transform equals an independent brute-force
-    minimum of scipy's float formula, is never above scipy's EDT, and grows
-    a reach too small for the answer up to its cap."""
+    """The whole-grid min-plus transform, at its caps and at the tightest
+    reach that holds every answer, equals an independent brute-force
+    minimum of scipy's float formula and is never above scipy's EDT."""
 
     @staticmethod
-    def check(mine, spacing, periodic, reach):
-        dist, grown = signsearch._min_plus_edt(mine, spacing, periodic, reach)
-        assert np.array_equal(dist, brute_distances(mine, spacing, periodic))
-        assert np.all(dist <= scipy_distances(mine, spacing, periodic))
-        return grown
+    def check(mine, spacing, periodic):
+        want = brute_distances(mine, spacing, periodic)
+        caps = [n // 2 if periodic else n - 1 for n in mine.shape]
+        for reach in (caps, tightest_reach(mine, spacing, periodic)):
+            dist = signsearch._min_plus_edt(mine, spacing, periodic, reach)
+            assert np.array_equal(dist, want)
+            assert np.all(dist <= scipy_distances(mine, spacing, periodic))
 
     @pytest.mark.parametrize("periodic", [True, False])
     @pytest.mark.parametrize("shape, box_spacing", KERNEL_SHAPES)
     def test_matches_brute_force(self, shape, box_spacing, periodic):
         spacing = tuple(1.0 / n for n in shape) if periodic else box_spacing
-        caps = [n // 2 if periodic else n - 1 for n in shape]
         for seed, zeros in ((1, False), (2, True), (3, False)):
             sgn = smooth_sign_field(shape, seed + len(shape), zeros)
             for s in (1, -1):
                 mine = sgn == s
                 if mine.any() and not mine.all():
-                    for reach in ([1] * len(shape), caps):
-                        self.check(mine, spacing, periodic, reach)
+                    self.check(mine, spacing, periodic)
 
     @pytest.mark.parametrize("periodic", [True, False])
     @pytest.mark.parametrize("shape, box_spacing", KERNEL_SHAPES[2:])
@@ -513,15 +530,16 @@ class TestMinPlusEdt:
         spacing = tuple(1.0 / n for n in shape) if periodic else box_spacing
         mine = np.ones(shape, dtype=bool)
         mine[(1,) * len(shape)] = False
-        grown = self.check(mine, spacing, periodic, [1] * len(shape))
-        assert grown == [n // 2 if periodic else n - 1 for n in shape]
+        self.check(mine, spacing, periodic)
 
-    def test_odd_reach_regrows_once(self, monkeypatch):
-        # a reach of one cell on an odd torus is too small; it grows once, to
-        # at least the answer in cells and short of the cap
+    def test_odd_tightest_reach_one_pass(self, monkeypatch):
+        # on an odd torus, the tightest reach is short of the cap; each later
+        # axis takes one pass at it, and the result is exact
         shape = (25, 25)
         spacing = (1.0 / 25, 1.0 / 25)
         mine = smooth_sign_field(shape, 5) == 1
+        reach = tightest_reach(mine, spacing, True)
+        assert reach[1] < 25 // 2
         passes = []
         min_plus_axis = signsearch._min_plus_axis
 
@@ -530,10 +548,10 @@ class TestMinPlusEdt:
             return min_plus_axis(g, ax, reach, h, periodic)
 
         monkeypatch.setattr(signsearch, "_min_plus_axis", axis_pass)
-        grown = self.check(mine, spacing, True, [1, 1])
-        top = float(brute_distances(mine, spacing, True).max())
-        assert math.ceil(top / spacing[1]) <= grown[1] < 25 // 2
-        assert passes == [1, grown[1]]
+        dist = signsearch._min_plus_edt(mine, spacing, True, reach)
+        assert passes == [reach[1]]
+        assert np.array_equal(dist, brute_distances(mine, spacing, True))
+        assert np.array_equal(dist, scipy_distances(mine, spacing, True))
 
 
 def reference_trig_grid(f, n):
