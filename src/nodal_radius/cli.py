@@ -2,9 +2,9 @@
 suites, and emit CSV/JSON reports plus optional SVG sign-pattern plots.
 
 Exit codes: 0 all asserted bounds/identities passed; 1 at least one check
-failed; 2 input could not be parsed or the report cannot hold it (the
-message names the offending field); 3 a quadrature could not reach its
-tolerance (the failing cases are listed).
+failed; 2 input could not be parsed, the report cannot hold it, or --out
+cannot be a directory (the message names the offending field); 3 a
+quadrature could not reach its tolerance (the failing cases are listed).
 
 The CSV report starts with a timestamp comment line; everything below it is
 byte-deterministic for a fixed seed.
@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,14 +46,15 @@ class RunConfig:
     command: str
     input_path: str | None = None
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
+    tol_residual: float | None = None  # None: the identity's own default
     resolution: int = 256
     output_dir: str = "."
     emit_svg: bool = False
-    extras: dict = field(default_factory=dict)
-
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    A: int = 5
+    B: int = 1
+    trials: int = 300
+    n: int = 3
+    count: int = 10
 
 
 class ParseFailure(ValueError):
@@ -225,15 +226,14 @@ def _run_analyze_mix(cfg: RunConfig):
 
 
 def _run_verify_identity(cfg: RunConfig):
-    n = int(cfg.extras.get("n", 3))
-    count = int(cfg.extras.get("count", 10))
-    default_tol = 1e-6 if n == 3 else 1e-5
-    tol = cfg.tol("residual", default_tol)
+    n, tol = cfg.n, cfg.tol_residual
+    if tol is None:
+        tol = 1e-6 if n == 3 else 1e-5
     rng = np.random.default_rng(cfg.seed)
     rows = []
     failures = []
     all_pass = True
-    for case in range(count):
+    for case in range(cfg.count):
         lam = float(rng.uniform(0.5, 20.0 if n == 3 else 6.0))
         phi = _random_plane_wave(rng, n, lam, n_waves=int(rng.integers(1, 3)))
         x = rng.normal(size=n) * 0.5
@@ -251,15 +251,13 @@ def _run_verify_identity(cfg: RunConfig):
 
 
 def _run_sharpness(cfg: RunConfig):
-    A = int(cfg.extras.get("A", 5))
-    B = int(cfg.extras.get("B", 1))
-    trials = int(cfg.extras.get("trials", 300))
-    row = _probe_row(A, B, signsearch.sharpness_probe(A, B, trials=trials, seed=cfg.seed))
+    probe = signsearch.sharpness_probe(cfg.A, cfg.B, trials=cfg.trials, seed=cfg.seed)
+    row = _probe_row(cfg.A, cfg.B, probe)
     return [("sharpness", PROBE_HEADER, [row])], row[-1], []
 
 
 def _run_suite(cfg: RunConfig):
-    count = int(cfg.extras.get("count", 12))
+    count = cfg.count
     seeds = np.random.SeedSequence(cfg.seed).spawn(4)
     sign_rows = []
     all_pass = True
@@ -308,11 +306,12 @@ def _run_suite(cfg: RunConfig):
         all_pass &= ok
 
     # identity spot checks (n = 3)
-    id_cfg = RunConfig(
+    id_cfg = replace(
+        cfg,
         command="verify-identity",
         seed=int(seeds[3].generate_state(1)[0] % 2**31),
-        tolerances=cfg.tolerances,
-        extras={"n": 3, "count": max(3, count // 4)},
+        n=3,
+        count=max(3, count // 4),
     )
     id_sections, id_pass, id_failures = _run_verify_identity(id_cfg)
     all_pass &= id_pass
@@ -376,7 +375,7 @@ def _write_reports(cfg: RunConfig, sections, passed: bool, failures):
             "input": cfg.input_path,
             "seed": cfg.seed,
             "resolution": cfg.resolution,
-            "tolerances": cfg.tolerances,
+            "tolerances": {} if cfg.tol_residual is None else {"residual": cfg.tol_residual},
         },
         "passed": bool(passed),
         "accuracy_failures": list(failures),
@@ -393,37 +392,7 @@ def _write_reports(cfg: RunConfig, sections, passed: bool, failures):
 # ----------------------------------------------------------------------
 
 
-def _split_tol_flags(argv):
-    """Extract --tol.<name> <val> / --tol.<name>=<val> pairs from argv."""
-    rest = []
-    tols = {}
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg.startswith("--tol."):
-            name, eq, val = arg[6:].partition("=")
-            if name != "residual":
-                raise ParseFailure(f"unknown tolerance --tol.{name}; the only one is --tol.residual")
-            if not eq:
-                if i + 1 >= len(argv):
-                    raise ParseFailure(f"flag --tol.{name} needs a value")
-                val = argv[i + 1]
-                i += 1
-            try:
-                fval = float(val)
-            except ValueError:
-                raise ParseFailure(f"tolerance {name!r} must be a number, got {val!r}")
-            if not fval > 0.0:
-                raise ParseFailure(f"tolerance {name!r} must be positive, got {fval}")
-            tols[name] = fval
-        else:
-            rest.append(arg)
-        i += 1
-    return rest, tols
-
-
 def parse_args(argv) -> RunConfig:
-    rest, tols = _split_tol_flags(list(argv))
     parser = argparse.ArgumentParser(
         prog="nodal-radius",
         description="Sign-change radius bounds: measurement and verification.",
@@ -439,8 +408,10 @@ def parse_args(argv) -> RunConfig:
     parser.add_argument("--trials", type=int, default=300, help="sharpness: search budget")
     parser.add_argument("--n", type=int, default=3, help="verify-identity: dimension")
     parser.add_argument("--count", type=int, default=10, help="instances per suite stage")
+    parser.add_argument("--tol.residual", dest="tol_residual", type=float, default=None,
+                        help="verify-identity: residual tolerance")
     try:
-        ns = parser.parse_args(rest)
+        ns = parser.parse_args(argv)
     except SystemExit as exc:
         raise ParseFailure("invalid command line") from exc
     if ns.resolution < 16:
@@ -455,28 +426,31 @@ def parse_args(argv) -> RunConfig:
         raise ParseFailure(f"trials must be >= 1, got {ns.trials}")
     if ns.count < 1:
         raise ParseFailure(f"count must be >= 1, got {ns.count}")
+    if ns.tol_residual is not None and not ns.tol_residual > 0.0:
+        raise ParseFailure(f"tol.residual must be positive, got {ns.tol_residual}")
     return RunConfig(
         command=ns.cmd,
         input_path=ns.input,
         seed=ns.seed,
-        tolerances=tols,
+        tol_residual=ns.tol_residual,
         resolution=ns.resolution,
         output_dir=ns.out,
         emit_svg=ns.svg,
-        extras={
-            "A": ns.A,
-            "B": ns.B,
-            "trials": ns.trials,
-            "n": ns.n,
-            "count": ns.count,
-        },
+        A=ns.A,
+        B=ns.B,
+        trials=ns.trials,
+        n=ns.n,
+        count=ns.count,
     )
 
 
 def run(cfg: RunConfig) -> int:
     """Execute a command and write its reports; returns the exit status."""
     handler = _HANDLERS[cfg.command]
-    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    try:
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseFailure(f"--out cannot be used as the report directory: {exc}") from exc
     try:
         sections, passed, failures = handler(cfg)
     except AccuracyError as exc:

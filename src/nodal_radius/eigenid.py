@@ -549,7 +549,7 @@ def eigen_from_dict(data) -> PlaneWaveEigen:
             if field not in w:
                 raise ValueError(f"waves[{i}] missing field {field!r}")
         waves.append((np.asarray(w["k"], dtype=float), float(w["amp"]), float(w["phase"])))
-    return PlaneWaveEigen(int(data["dim"]), float(data["lambda"]), waves)
+    return PlaneWaveEigen(data["dim"], float(data["lambda"]), waves)
 
 
 def mix_to_dict(mix: EigenMix) -> dict:
@@ -571,7 +571,7 @@ def mix_from_dict(data) -> EigenMix:
             if field not in p:
                 raise ValueError(f"parts[{i}] missing field {field!r}")
         parts.append((float(p["coef"]), eigen_from_dict(p["eigen"])))
-    return EigenMix(int(data["dim"]), parts)
+    return EigenMix(data["dim"], parts)
 
 
 def eigen_to_json(phi: PlaneWaveEigen) -> str:

@@ -400,6 +400,8 @@ def convolve_at_point_quadrature(f: SphereFn, g: ZonalKernel, x, polar_order: in
     d = f.dim
     if x.shape != (d,):
         raise ValueError(f"point must have shape ({d},)")
+    if abs(float(np.linalg.norm(x)) - 1.0) > _POINT_TOL:
+        raise ValueError("evaluation point must lie on the unit sphere")
     lo, hi = g.support
     th_lo = math.acos(min(1.0, hi))
     th_hi = math.acos(max(-1.0, lo))
@@ -450,9 +452,9 @@ def from_dict(data) -> SphereFn:
                 raise ValueError(f"terms[{i}] missing field {field!r}")
         terms.append(
             ZonalTerm(
-                degree=int(term["k"]),
+                degree=term["k"],
                 pole=np.asarray(term["pole"], dtype=float),
                 weight=float(term["w"]),
             )
         )
-    return SphereFn(int(data["dim"]), terms)
+    return SphereFn(data["dim"], terms)

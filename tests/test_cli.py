@@ -107,6 +107,15 @@ class TestOtherCommands:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["sections"]["identity"]["rows"][0][5] == 1e-4
 
+    @pytest.mark.parametrize(
+        "flags, tolerances", [([], {}), (["--tol.residual", "1e-4"], {"residual": 1e-4})]
+    )
+    def test_report_records_tolerances(self, tmp_path, flags, tolerances):
+        code = main(["--cmd", "verify-identity", "--count", "1", "--out", str(tmp_path)] + flags)
+        assert code == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["config"]["tolerances"] == tolerances
+
     def test_sharpness(self, tmp_path):
         code = main(
             ["--cmd", "sharpness", "--A", "5", "--B", "0", "--trials", "10",
@@ -155,6 +164,41 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert "dim" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "cmd, text, field",
+        [
+            ("analyze-sphere", '{"dim": 3, "terms": [{"k": 2.7, "pole": [0, 0, 1], "w": 1.0}]}',
+             "degree"),
+            ("analyze-sphere", '{"dim": 3.5, "terms": [{"k": 2, "pole": [0, 0, 1], "w": 1.0}]}',
+             "dim"),
+            ("analyze-mix", '{"dim": 2.5, "parts": [{"coef": 1.0, "eigen": {"dim": 2, "lambda": 4.0,'
+                            ' "waves": [{"k": [2.0, 0.0], "amp": 1.0, "phase": 0.0}]}}]}', "dim"),
+            ("analyze-mix", '{"dim": 2, "parts": [{"coef": 1.0, "eigen": {"dim": 2.5, "lambda": 4.0,'
+                            ' "waves": [{"k": [2.0, 0.0], "amp": 1.0, "phase": 0.0}]}}]}', "dim"),
+        ],
+        ids=["sphere-degree", "sphere-dim", "mix-dim", "eigen-dim"],
+    )
+    def test_non_integer_dim_or_degree_exit_2(self, tmp_path, capsys, cmd, text, field):
+        # the loaders used to truncate: degree 2.7 was measured as degree 2
+        inp = tmp_path / "bad.json"
+        inp.write_text(text)
+        code = main(["--cmd", cmd, "--input", str(inp), "--resolution", "16",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        # this used to raise FileExistsError, a traceback and exit 1
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["--cmd", "sharpness", "--trials", "10", "--out", str(taken)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_low_resolution_exit_2(self, tmp_path):
         code = main(

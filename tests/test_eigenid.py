@@ -647,3 +647,9 @@ class TestJson:
             eigenid.eigen_from_dict({"dim": 2, "waves": []})
         with pytest.raises(ValueError, match="parts"):
             eigenid.mix_from_dict({"dim": 2})
+        wave = {"k": [2.0, 0.0], "amp": 1.0, "phase": 0.0}
+        with pytest.raises(ValueError, match="dim"):
+            eigenid.eigen_from_dict({"dim": 2.5, "lambda": 4.0, "waves": [wave]})
+        with pytest.raises(ValueError, match="dim"):
+            eigenid.mix_from_dict({"dim": 2.5, "parts": [
+                {"coef": 1.0, "eigen": {"dim": 2, "lambda": 4.0, "waves": [wave]}}]})

@@ -751,25 +751,31 @@ def heap_graph_radius(pts, sgn):
     return radius
 
 
+def brute_sphere_arcs(pts, sgn):
+    """Reference: per sample of sign +-1, the exact arc to the nearest
+    sample of another sign (0 on zeros), from blocked matrix products over
+    all samples."""
+    arcs = np.zeros(len(pts))
+    for s in (1, -1):
+        mine, opp = np.nonzero(sgn == s)[0], np.nonzero(sgn != s)[0]
+        if mine.size == 0 or opp.size == 0:
+            continue
+        for blk in np.array_split(mine, -(-mine.size // 1024)):
+            cos_max = np.max(pts[blk] @ pts[opp].T, axis=1)
+            arcs[blk] = np.arccos(np.clip(cos_max, -1.0, 1.0))
+    return arcs
+
+
 def reference_sphere_search(f, resolution):
-    """Reference: (center, r_lower) of the sphere search with a heapq
-    Dijkstra and a per-leader gather of the opposite-sign points."""
+    """Reference: (center, r_lower) of the sphere search, with the center
+    the brute-force farthest sample from another sign."""
     pts = _fibonacci_sphere(resolution**2)
     sgn = _signs(f.eval_many(pts))
-    radius = heap_graph_radius(pts, sgn)
-    order = np.argsort(-radius, kind="stable")
-    best_r, best_i, best_seed = -1.0, -1, None
-    for i in order[:512]:
-        if radius[i] < 0.9 * radius[order[0]] and best_i >= 0:
-            break
-        opp = np.nonzero(sgn != sgn[i])[0]
-        cos_to = pts[opp] @ pts[i]
-        jmax = int(np.argmax(cos_to))
-        exact = math.acos(max(-1.0, min(1.0, float(cos_to[jmax]))))
-        if exact > best_r:
-            best_r, best_i, best_seed = exact, int(i), pts[opp[jmax]]
-    center = pts[best_i]
-    axis = best_seed - math.cos(best_r) * center
+    arcs = brute_sphere_arcs(pts, sgn)
+    best_i = int(np.argmax(arcs))
+    center, best_r = pts[best_i], float(arcs[best_i])
+    opp = pts[sgn != sgn[best_i]]
+    axis = opp[np.argmax(opp @ center)] - math.cos(best_r) * center
     axis /= np.linalg.norm(axis)
 
     def eval_arc(theta):
@@ -777,6 +783,15 @@ def reference_sphere_search(f, resolution):
         return float(f.eval_many(p[None, :])[0])
 
     return center, _bisect_crossing(eval_arc, 0.0, best_r)
+
+
+def random_sphere_instances(resolution, count):
+    """(pts, sgn, f) of ``count`` random sphere functions on the spiral."""
+    rng = np.random.default_rng(resolution)
+    pts = _fibonacci_sphere(resolution**2)
+    for _ in range(count):
+        f = random_sphere_fn(rng, 3, max_degree=12)
+        yield pts, _signs(f.eval_many(pts)), f
 
 
 class TestSphereSearch:
@@ -819,27 +834,37 @@ class TestSphereSearch:
                 assert np.allclose(report.center, center, rtol=0.0, atol=1e-12)
                 assert report.r_lower == pytest.approx(r_lower, rel=0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("resolution, seed", [(32, 79), (32, 90), (48, 374)])
-    def test_leader_cutoff_pinned(self, resolution, seed):
-        # the leaders are the samples within 10 % of the best graph radius;
-        # on these instances the best exact arc among them differs from the
-        # best among those within 5 % (first two) or 15 % (last), so moving
-        # the 0.9 cutoff either way moves the center
+    @pytest.mark.parametrize(
+        "resolution, seed, farthest",
+        [(32, 79, 880), (32, 90, 481), (48, 374, 946)],
+        ids=["32-79", "32-90", "48-374"],
+    )
+    def test_center_pinned(self, resolution, seed, farthest):
+        # at (48, 374) a cutoff to the samples within 10 % of the top graph
+        # distance chose sample 1128 (arc 0.555716), not the farthest
         f = random_sphere_fn(np.random.default_rng(seed), 3, max_degree=12)
         pts = _fibonacci_sphere(resolution**2)
-        sgn = _signs(f.eval_many(pts))
-        radius = heap_graph_radius(pts, sgn)
-        order = np.argsort(-radius, kind="stable")
-
-        def winner(cutoff):
-            leaders = [i for i in order[:512] if radius[i] >= cutoff * radius[order[0]]]
-            arcs = [np.arccos(np.clip(np.max(pts[sgn != sgn[i]] @ pts[i]), -1.0, 1.0))
-                    for i in leaders]
-            return leaders[int(np.argmax(arcs))]
-
-        assert winner(0.9) != winner(0.95 if seed != 374 else 0.85)
+        arcs = brute_sphere_arcs(pts, _signs(f.eval_many(pts)))
+        assert int(np.argmax(arcs)) == farthest
         report = largest_signfree_ball(f, SearchDomain.sphere(3, resolution))
-        assert np.array_equal(report.center, pts[winner(0.9)])
+        assert np.array_equal(report.center, pts[farthest])
+
+    @pytest.mark.parametrize("resolution", [32, 48, 96, 128])
+    def test_center_arc_is_brute_force_maximum(self, resolution):
+        for pts, sgn, f in random_sphere_instances(resolution, 20):
+            report = largest_signfree_ball(f, SearchDomain.sphere(3, resolution))
+            arcs = brute_sphere_arcs(pts, sgn)
+            center = int(np.argmin(np.linalg.norm(pts - report.center, axis=1)))
+            assert arcs[center] == pytest.approx(arcs.max(), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("resolution", [32, 48, 96, 128])
+    def test_graph_radius_bounds_exact_arc(self, resolution):
+        # the premise of the search's stop test, up to arccos rounding
+        _, graph = _spiral_graph(resolution**2)
+        for pts, sgn, _ in random_sphere_instances(resolution, 5):
+            signed = sgn != 0
+            radius = _sphere_graph_radius(graph, sgn)[signed]
+            assert np.all(radius >= brute_sphere_arcs(pts, sgn)[signed] * (1.0 - 1e-12))
 
     def test_all_zero_grid_reported(self):
         report = largest_signfree_ball(

@@ -244,6 +244,17 @@ class TestFunkHecke:
         assert got == pytest.approx(sphere_surface(2) * 2.0, rel=1e-12)
         assert got == pytest.approx(4.0 * math.pi, rel=1e-12)  # area of S^2
 
+    def test_quadrature_rejects_off_sphere_point(self):
+        # 1.1 x used to be integrated as if it were a unit vector
+        f = zonal(3, 2, [0.0, 0.0, 1.0])
+        g = ZonalKernel.bump(0.5, 0.3)
+        x = np.array([0.6, 0.0, 0.8])
+        assert convolve_at_point_quadrature(f, g, x) == pytest.approx(
+            convolve(f, g).eval(x), abs=1e-10
+        )
+        with pytest.raises(ValueError, match="unit sphere"):
+            convolve_at_point_quadrature(f, g, 1.1 * x)
+
     def test_annihilator_multiplier_vanishes(self):
         g = annihilator_bump(8, 3)
         assert abs(funk_hecke_eigenvalue(g, 8, 3)) <= 1e-10
@@ -590,3 +601,7 @@ class TestJson:
             sphere.from_dict({"terms": []})
         with pytest.raises(ValueError, match="pole"):
             sphere.from_dict({"dim": 3, "terms": [{"k": 1, "w": 1.0}]})
+        with pytest.raises(ValueError, match="degree"):
+            sphere.from_dict({"dim": 3, "terms": [{"k": 2.7, "pole": [0, 0, 1], "w": 1.0}]})
+        with pytest.raises(ValueError, match="dim"):
+            sphere.from_dict({"dim": 3.5, "terms": []})
