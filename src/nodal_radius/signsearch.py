@@ -14,33 +14,36 @@ All three domains run one pipeline, ``largest_signfree_ball``:
 Every report is built in one place, and ``verify_bound`` compares it with
 a theoretical radius bound.
 
-Both domains find the farthest sample by one best-first rule: a cheap
-upper bound on each candidate's distance orders the candidates, each
-visited candidate gets its exact distance, and the visit stops at the
+On the torus, each sign takes one separable min-plus distance transform
+of the whole grid in numpy (``_min_plus_edt``) at the caps, n // 2 cells
+per axis, wrap-indexed. Each axis pass stops at the first offset whose
+square reaches every distance so far, so the transform ends at the
+answer's reach without a bound to size it.
+
+A box grid and the sphere find the farthest sample by one best-first rule:
+a cheap upper bound on each candidate's distance orders the candidates,
+each visited candidate gets its exact distance, and the visit stops at the
 first bound that cannot beat the best exact distance found, since no
-candidate left can then win. On a grid the candidates are tiles of cells
+candidate left can then win. In a box the candidates are tiles of cells
 and the bound comes from a coarse grid (``_grid_argmax``); on the sphere
 they are the samples and the bound is their kNN-graph distance
 (``_sphere_graph_radius``).
 
-On a grid, a min-plus distance transform of the stride-2 coarse grid per
-sign gives an exact upper bound on every fine distance: the coarse cells of
-another sign are fine cells of another sign, and every fine cell
-lies within one grid diagonal h*sqrt(d) of a coarse cell, so coarse
-distance + h*sqrt(d) bounds it. Tiles of cells are visited by decreasing
-bound until the bound falls below the best fine distance found; each gets a
-fine EDT of a window padded by its bound, which holds the nearest cell of
-another sign of every tile cell, so the result is exact. A sign falls back
-to one distance transform of the whole grid when the windows would cover
-more cells, or when its coarse grid holds no cell of another sign.
+In a box, a min-plus transform of the stride-2 coarse grid per sign gives
+an exact upper bound on every fine distance: the coarse cells of another
+sign are fine cells of another sign, and every fine cell lies within one
+grid diagonal h*sqrt(d) of a coarse cell, so coarse distance + h*sqrt(d)
+bounds it. Tiles of cells are visited by decreasing bound until the bound
+falls below the best fine distance found; each gets a fine scipy EDT of a
+window padded by its bound, which holds the nearest cell of another sign
+of every tile cell, so the result is exact. A sign falls back to one
+min-plus transform of the whole grid when the windows would cover more
+cells, searched as far as its top tile bound in cells, or when its coarse
+grid holds no cell of another sign, searched to the caps.
 
-Both the coarse grids and the whole-grid fallbacks take one separable
-min-plus transform in numpy (``_min_plus_edt``), at a reach that already
-bounds every distance it returns, so none is redone: a coarse grid and a
-sign without tile bounds take each axis's cap, and a fallback sign takes
-its top tile bound in cells. The nearest cell of another sign is then looked for within the
-answer's radius of the center. The sphere's graph distances come from one
-compiled multi-source Dijkstra per sign (``scipy.sparse.csgraph``).
+On both grids the nearest cell of another sign is then looked for within
+the answer's radius of the center. The sphere's graph distances come from
+one compiled multi-source Dijkstra per sign (``scipy.sparse.csgraph``).
 
 The reported r_lower is a certificate *at grid resolution*: no sampled
 point within r_lower of the center has the opposite sign. r_upper adds one
@@ -273,20 +276,18 @@ def _min_plus_axis(g: np.ndarray, ax: int, reach: int, h: float, periodic: bool)
     return out
 
 
-def _tile_bounds(mine: np.ndarray, spacing, periodic: bool, diag: float):
-    """Upper bounds on the fine distances of ``mine``'s cells, per tile of
-    ``_TILE`` cells per axis: (bounds, tile origins), by decreasing bound
-    (ties by tile index). None where the stride-2 coarse grid has no cell
-    outside ``mine``.
+def _tile_bounds(mine: np.ndarray, spacing, diag: float):
+    """Upper bounds on the fine distances of a box grid's ``mine`` cells, per
+    tile of ``_TILE`` cells per axis: (bounds, tile origins), by decreasing
+    bound (ties by tile index). None where the stride-2 coarse grid has no
+    cell outside ``mine``.
 
     The coarse distances come from ``_min_plus_edt`` at the caps, so they
-    are exact on the coarse grid. On a torus with odd n the coarse ring of
-    ceil(n / 2) cells of 2h is longer than the torus, which only stretches
-    distances, so they still bound the fine ones."""
+    are exact on the coarse grid."""
     coarse = mine[(slice(None, None, 2),) * mine.ndim]
     if coarse.all():
         return None
-    dc = _min_plus_edt(coarse, tuple(2.0 * h for h in spacing), periodic, coarse.shape)
+    dc = _min_plus_edt(coarse, tuple(2.0 * h for h in spacing), False, coarse.shape)
     step = _TILE // 2
     for ax in range(dc.ndim):
         dc = np.maximum.reduceat(dc, np.arange(0, dc.shape[ax], step), axis=ax)
@@ -298,35 +299,37 @@ def _tile_bounds(mine: np.ndarray, spacing, periodic: bool, diag: float):
 def _grid_argmax(sgn: np.ndarray, spacing, periodic: bool):
     """(flat, r): the lowest flat index among the cells of sign +-1 farthest
     from a cell of another sign, and that exact Euclidean distance
-    (wrap-around on the torus).
+    (wrap-around on the torus). Equal to the argmax of a full-grid EDT per
+    sign. A sign with no cells, or with no cells of another sign, is
+    skipped; ties go to the lowest flat index.
 
-    Equal to the argmax of a full-grid EDT per sign, found coarse to fine.
-    Stride-2 coarse cells of another sign are fine cells of another sign,
-    and every fine cell lies within one grid diagonal h*sqrt(d) of a coarse
-    cell of its tile, so a coarse distance plus the diagonal bounds the fine
-    distance of every cell of a tile (``_tile_bounds``; a relative slack of
-    a few ulps covers the collinear case, where the bound is met). Tiles
-    are visited by decreasing bound, the best sign's first, and stop at
-    the first bound below the running best r. Each visited tile gets a fine
-    EDT of its window, the tile padded by ceil(bound / h) + 1 cells per
-    axis (wrap-indexed and capped at n // 2 on the torus, clipped in a
-    box): the nearest cell of another sign of every tile cell lies inside
-    it, so the window's distances are exact. Ties go to the lowest flat
-    index; a tile's own argmax is its lowest, as tiles do not wrap.
+    On the torus each sign takes one min-plus transform of the whole grid
+    (``_min_plus_edt``) at the caps; its passes stop at the answer's reach
+    on their own.
 
-    A sign takes one transform of the whole grid (``_min_plus_edt``) when
-    the windows still planned would cover more cells than a whole-grid EDT
-    wrap-padded by the top tile's window pad, counting ``_EDT_CALL_CELLS``
-    per call, or when it has no tile bounds. Its reach bounds every distance
-    of the sign, so the transform is exact in one pass: the top tile bound
-    in cells, or without tile bounds each axis's cap. The plan holds the
-    tiles whose bound reaches the running best r; before any fine distance
-    is known, r is estimated as the top bound less one diagonal. A sign with
-    no cells, or with no cells of another sign, is skipped.
+    A box grid is searched coarse to fine. Stride-2 coarse cells of another
+    sign are fine cells of another sign, and every fine cell lies within one
+    grid diagonal h*sqrt(d) of a coarse cell of its tile, so a coarse
+    distance plus the diagonal bounds the fine distance of every cell of a
+    tile (``_tile_bounds``; a relative slack of a few ulps covers the
+    collinear case, where the bound is met). Tiles are visited by decreasing
+    bound, the best sign's first, and stop at the first bound below the
+    running best r. Each visited tile gets a fine EDT of its window, the
+    tile padded by ceil(bound / h) + 1 cells per axis and clipped to the
+    box: the nearest cell of another sign of every tile cell lies inside
+    it, so the window's distances are exact.
+
+    A box sign takes one transform of the whole grid (``_min_plus_edt``)
+    when the windows still planned would cover more cells than the grid,
+    counting ``_EDT_CALL_CELLS`` per call, or when it has no tile bounds.
+    Its reach bounds every distance of the sign, so the transform is exact
+    in one pass: the top tile bound in cells, or without tile bounds each
+    axis's cap. The plan holds the tiles whose bound reaches the running
+    best r; before any fine distance is known, r is estimated as the top
+    bound less one diagonal.
     """
     shape, d = sgn.shape, sgn.ndim
     diag = math.sqrt(sum(h * h for h in spacing))
-    caps = np.array([n // 2 for n in shape])
     best_r, best_flat = 0.0, -1
 
     def offer(dist, origin):
@@ -341,11 +344,12 @@ def _grid_argmax(sgn: np.ndarray, spacing, periodic: bool):
     def whole(mine, reach):
         offer(_min_plus_edt(mine, spacing, periodic, reach), (0,) * d)
 
-    plans = []
-    for s in (1, -1):
-        mine = sgn == s
-        if mine.any() and not mine.all():
-            plans.append((mine, _tile_bounds(mine, spacing, periodic, diag)))
+    masks = [mine for mine in (sgn == 1, sgn == -1) if mine.any() and not mine.all()]
+    if periodic:
+        for mine in masks:
+            whole(mine, shape)
+        return best_flat, best_r
+    plans = [(mine, _tile_bounds(mine, spacing, diag)) for mine in masks]
     plans.sort(key=lambda p: -math.inf if p[1] is None else -p[1][0][0])
     for mine, tiles in plans:
         if tiles is None:
@@ -354,25 +358,16 @@ def _grid_argmax(sgn: np.ndarray, spacing, periodic: bool):
         bound, origin = tiles
         reach = np.ceil(bound[:, None] / np.array(spacing)).astype(np.intp) + 1
         end = np.minimum(origin + _TILE, shape)
-        if periodic:
-            reach = np.minimum(reach, caps)
-            lo, hi = origin - reach, end + reach
-            whole_cells = np.prod(np.add(shape, 2 * reach[0]))
-        else:
-            lo, hi = np.maximum(origin - reach, 0), np.minimum(end + reach, shape)
-            whole_cells = mine.size
+        lo, hi = np.maximum(origin - reach, 0), np.minimum(end + reach, shape)
         spent = np.concatenate(([0], np.cumsum(np.prod(hi - lo, axis=1) + _EDT_CALL_CELLS)))
         for k in range(bound.size):
             if bound[k] < best_r:
                 break
             last = np.count_nonzero(bound >= (best_r if best_r > 0 else bound[0] - diag))
-            if spent[last] - spent[k] > whole_cells + _EDT_CALL_CELLS:
+            if spent[last] - spent[k] > mine.size + _EDT_CALL_CELLS:
                 whole(mine, [math.ceil(bound[0] / h) for h in spacing])
                 break
-            if periodic:
-                win = mine[np.ix_(*(np.arange(a, b) % n for a, b, n in zip(lo[k], hi[k], shape)))]
-            else:
-                win = mine[tuple(slice(a, b) for a, b in zip(lo[k], hi[k]))]
+            win = mine[tuple(slice(a, b) for a, b in zip(lo[k], hi[k]))]
             dist = distance_transform_edt(win, sampling=spacing)
             offer(dist[tuple(slice(a - b, c - b) for a, b, c in zip(origin[k], lo[k], end[k]))], origin[k])
     return best_flat, best_r
@@ -438,9 +433,11 @@ def largest_signfree_ball(f, dom: SearchDomain, seed: Optional[int] = None) -> S
        signals an upstream bug); a grid of zeros yields r_lower = 0.
     4. Otherwise the sampler's search takes as the center the sample
        farthest from a sample of another sign (wrap-around metric on the
-       torus, geodesic on the sphere, Euclidean in a box), found by the one
-       best-first rule of both domains (see the module docstring), and
-       sharpens the radius by bisecting toward its nearest sign change.
+       torus, geodesic on the sphere, Euclidean in a box), and sharpens the
+       radius by bisecting toward its nearest sign change. The torus finds
+       that sample by one periodic min-plus transform per sign; a box and
+       the sphere by one best-first rule, coarse-to-fine tiles in the box
+       and graph bounds on the sphere (see the module docstring).
 
     Every report is built in one place; r_upper adds one grid diagonal, an
     estimate and not a proven bound (see ``SignBallReport``).
@@ -487,17 +484,19 @@ def _grid_sample(f, dom: SearchDomain):
     meshgrid of (N, d) points.
 
     The search centers the ball on the first cell of largest distance to
-    another sign, found coarse to fine by ``_grid_argmax``: a min-plus
-    transform of the stride-2 coarse grid plus one grid diagonal bounds the
-    fine distances of each tile, and only tiles whose bound reaches the best
-    distance so far get a fine EDT, of a window padded by that bound, which
-    holds the nearest cell of another sign of every tile cell and so is
-    exact. A sign takes one whole-grid min-plus transform instead when its
-    windows would cover more cells, searched as far as its top tile bound,
-    or when its coarse grid has no cell of another sign, searched to the
-    caps. The search then finds the nearest cell of another sign within that
-    distance of the center (``_nearest_other``) and bisects along the
-    segment (t in [0, 1]) to it."""
+    another sign, found by ``_grid_argmax``. On the torus each sign takes
+    one periodic min-plus transform of the whole grid. A box is searched
+    coarse to fine: a min-plus transform of the stride-2 coarse grid plus
+    one grid diagonal bounds the fine distances of each tile, and only tiles
+    whose bound reaches the best distance so far get a fine EDT, of a window
+    padded by that bound, which holds the nearest cell of another sign of
+    every tile cell and so is exact. A box sign takes one whole-grid
+    min-plus transform instead when its windows would cover more cells,
+    searched as far as its top tile bound, or when its coarse grid has no
+    cell of another sign, searched to the caps. The search then finds the
+    nearest cell of another sign within that distance of the center
+    (``_nearest_other``) and bisects along the segment (t in [0, 1]) to
+    it."""
     n, d = dom.resolution, dom.dim
     periodic = dom.kind == "torus"
     if periodic:

@@ -203,18 +203,10 @@ def _weighted_moment(g: ZonalKernel, k: int, d: int, absval: bool = False) -> fl
         lambda t: float(integrand(t)),
         a,
         b,
-        tol=1e-13 * max(1.0, abs(_scale_hint(g, k, d))),
+        tol=1e-13 * max(1.0, abs(_weighted_moment(g, k, d, absval=True))),
         alpha_a=hint_a,
         alpha_b=hint_b,
     )
-
-
-def _scale_hint(g: ZonalKernel, k: int, d: int) -> float:
-    rule = gauss_legendre(max(60, k + 20), *g.support)
-    lam = (d - 2.0) / 2.0
-    vals = g(rule.nodes) * np.abs(gegenbauer(k, lam, rule.nodes))
-    vals *= (1.0 - rule.nodes**2) ** ((d - 3.0) / 2.0)
-    return float(np.dot(rule.weights, vals))
 
 
 def funk_hecke_eigenvalue(g: ZonalKernel, k: int, d: int) -> float:

@@ -156,7 +156,8 @@ def min_plus_reaches(monkeypatch, grid_shape):
 
 
 class TestTorusDistances:
-    """The coarse-to-fine search finds the full-pad radius array's first maximum."""
+    """The torus search, one periodic min-plus transform per sign, finds the
+    full-pad radius array's first maximum."""
 
     @pytest.mark.parametrize("dim, n", [(1, 512), (2, 128), (3, 48)])
     def test_random_trig_grids(self, dim, n):
@@ -169,85 +170,63 @@ class TestTorusDistances:
                 full_pad_torus_radius(sgn, spacing)
             )
 
+    @staticmethod
+    def assert_one_transform_per_sign(monkeypatch, sgn, spacing):
+        # one whole-grid min-plus transform per sign with cells on both sides,
+        # at the caps, no scipy EDT, and the full-pad reference's argmax
+        shapes = edt_shapes(monkeypatch, sgn.shape)
+        reaches = min_plus_reaches(monkeypatch, sgn.shape)
+        got = _grid_argmax(sgn, spacing, periodic=True)
+        monkeypatch.undo()
+        assert got == radius_argmax(full_pad_torus_radius(sgn, spacing))
+        signs = [s for s in (1, -1) if (sgn == s).any() and not (sgn == s).all()]
+        assert [kind for kind, _ in shapes] == ["whole"] * len(signs)
+        for _, reach in reaches:
+            assert all(r >= n // 2 for r, n in zip(reach, sgn.shape))
+
     def test_odd_fallback_reach_from_bound(self, monkeypatch):
-        # quadrants of cos 2 pi x cos 2 pi y: distances reach 64 cells of 255;
-        # both signs of the odd n fall back to the whole grid, searched as far
-        # as the top tile bound in cells, which reaches the answer short of
-        # the cap
+        # quadrants of cos 2 pi x cos 2 pi y at odd n: distances reach 64 cells
+        # of 255, short of the cap, where each axis pass stops on its own
         n = 255
         x = np.arange(n) / n
         sgn = _signs(np.cos(2 * np.pi * x)[:, None] * np.cos(2 * np.pi * x)[None, :])
-        spacing = (1.0 / n, 1.0 / n)
-        reaches = min_plus_reaches(monkeypatch, sgn.shape)
-        got = _grid_argmax(sgn, spacing, periodic=True)
-        assert got == radius_argmax(full_pad_torus_radius(sgn, spacing))
-        whole = [reach for kind, reach in reaches if kind == "whole"]
-        assert len(whole) == 2
-        for reach in whole:
-            assert all(math.ceil(got[1] / h) <= r < n // 2 for r, h in zip(reach, spacing))
+        self.assert_one_transform_per_sign(monkeypatch, sgn, (1.0 / n, 1.0 / n))
 
     def test_far_region_reaches_cap(self, monkeypatch):
         # a small positive blob at (4, 4) cells, negative elsewhere, so the
-        # negative cells' distances reach across half the torus: even and odd
-        # n run tile windows whose pad reaches its cap of n // 2 cells, and no
-        # whole-grid transform
+        # negative cells' distances reach across half the torus, at even and
+        # odd n
         for n in (256, 65):
             x = (np.arange(n) - 4) / n
             values = np.cos(2 * np.pi * x)[:, None] + np.cos(2 * np.pi * x)[None, :] - 1.9
             sgn = _signs(values)
             assert (sgn == 1).any() and (sgn == -1).any()
-            spacing = (1.0 / n, 1.0 / n)
-            shapes = edt_shapes(monkeypatch, sgn.shape)
-            got = _grid_argmax(sgn, spacing, periodic=True)
-            monkeypatch.undo()
-            assert got == radius_argmax(full_pad_torus_radius(sgn, spacing))
-            window = signsearch._TILE + 2 * (n // 2)
-            assert ("window", (window, window)) in shapes
-            assert all(max(shape) <= window for _, shape in shapes)
-            assert "whole" not in {kind for kind, _ in shapes}
+            self.assert_one_transform_per_sign(monkeypatch, sgn, (1.0 / n, 1.0 / n))
 
     def test_sign_without_cells_skipped(self, monkeypatch):
-        # positive cells and zeros only: no EDT runs for the negative sign
+        # positive cells and zeros only: no transform runs for the negative sign
         n = 64
         sgn = _signs(np.maximum(np.cos(2 * np.pi * np.arange(n) / n), 0.0))
         assert not (sgn == -1).any()
-        inputs = []
-
-        def edt(a, **kw):
-            inputs.append(a.any())
-            return distance_transform_edt(a, **kw)
-
-        monkeypatch.setattr(signsearch, "distance_transform_edt", edt)
-        got = _grid_argmax(sgn, (1.0 / n,), periodic=True)
-        assert got == radius_argmax(full_pad_torus_radius(sgn, (1.0 / n,)))
-        assert inputs and all(inputs)
+        self.assert_one_transform_per_sign(monkeypatch, sgn, (1.0 / n,))
 
 
 class TestTileBounds:
-    """Every fine distance is at most its tile's bound. A collinear case
-    meets the bound exactly, and on these grids rounding would break it by
-    one ulp without the bound's relative slack."""
+    """Every fine distance of a box grid is at most its tile's bound. A
+    collinear case meets the bound exactly, and on these grids rounding
+    would break it by one ulp without the bound's relative slack."""
 
     @staticmethod
-    def assert_bounds_hold(sgn, spacing, periodic, radius):
+    def assert_bounds_hold(sgn, spacing, radius):
         diag = math.sqrt(sum(h * h for h in spacing))
         for s in (1, -1):
             mine = sgn == s
-            tiles = signsearch._tile_bounds(mine, spacing, periodic, diag)
+            tiles = signsearch._tile_bounds(mine, spacing, diag)
             if tiles is None:
                 continue
             for bound, origin in zip(*tiles):
                 cells = tuple(slice(a, a + signsearch._TILE) for a in origin)
                 assert np.where(mine, radius, 0.0)[cells].max() <= bound
-
-    def test_torus(self):
-        rng = np.random.default_rng(3)
-        for n in range(16, 100):
-            for dim in (1, 1, 2):
-                f = random_trig_poly(rng, dim, max_shells=3, max_norm=max(1, n // 20))
-                sgn = _signs(f.eval_grid(n))
-                spacing = (1.0 / n,) * dim
-                self.assert_bounds_hold(sgn, spacing, True, full_pad_torus_radius(sgn, spacing))
 
     def test_box(self):
         for n in (64, 129, 130, 256):
@@ -257,7 +236,7 @@ class TestTileBounds:
                     mine = sgn == s
                     if mine.any() and not mine.all():
                         radius[mine] = distance_transform_edt(mine, sampling=spacing)[mine]
-                self.assert_bounds_hold(sgn, spacing, False, radius)
+                self.assert_bounds_hold(sgn, spacing, radius)
 
 
 def reference_search_step(sgn, axes, spacing, periodic):
@@ -360,19 +339,6 @@ def odd_only_grids(n):
     return grids
 
 
-def multi_cosine_torus_grids(n, n_terms, max_norm, seed):
-    """A 3-D torus of n_terms cosines with distinct frequencies: many tiles
-    reach the answer, so every sign falls back to the whole grid."""
-    rng = np.random.default_rng(seed)
-    terms, seen = [], set()
-    while len(terms) < n_terms:
-        k = tuple(int(c) for c in rng.integers(-max_norm, max_norm + 1, size=3))
-        if 0 < sum(c * c for c in k) <= max_norm**2 and k not in seen:
-            seen.update((k, tuple(-c for c in k)))
-            terms.append((k, float(rng.normal()), float(rng.uniform(0.0, 2.0 * math.pi))))
-    return [torus_grid(TrigPoly.from_cosines(3, terms).eval_grid(n))]
-
-
 SEARCH_CASES = {
     "torus-d1-n4096": lambda: random_torus_grids(1, 4096, 4, 40),
     "torus-d2-n256": lambda: random_torus_grids(2, 256, 4, 12),
@@ -387,18 +353,20 @@ SEARCH_CASES = {
     "ties-n250-k3": lambda: product_grids(250, 3),
     "zeros-n256": lambda: zeroed_grids(256),
     "odd-cells-only-n128": lambda: odd_only_grids(128),
-    "fallback-torus-d3-n96": lambda: multi_cosine_torus_grids(96, 8, 10, 0),
+    "fallback-box-d3-n64": lambda: random_box_grids(3, 64, 1),
 }
-# cases in which some grid must run tile windows, not only whole-grid transforms
-WINDOWED = {"torus-d1-n4096", "torus-d2-n256", "torus-d2-n512", "torus-d3-n96",
-            "box-d2-n256", "box-d3-n96", "zeros-n256", "odd-torus-d2-n255", "odd-box-d2-n255"}
+# cases in which some box grid must run tile windows, not only whole-grid
+# transforms; a torus grid never does
+WINDOWED = {"box-d2-n256", "box-d3-n96", "zeros-n256", "odd-box-d2-n255"}
 
 
 class TestCoarseToFineSearch:
-    """The coarse-to-fine search step equals the whole-grid one: the same
-    center cell, distance and refinement cell, bit for bit. Its coarse pass
-    and windows never cost more than half as many cells again, as a sign
-    whose windows would outgrow the whole-grid EDT takes that instead."""
+    """The grid search step, coarse to fine in a box and one whole-grid
+    transform per sign on the torus, equals the whole-grid one: the same
+    center cell, distance and refinement cell, bit for bit. Its transforms
+    never cost more than half as many cells again, as a box sign whose
+    windows would outgrow the whole grid takes one whole-grid transform
+    instead."""
 
     @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
     def test_matches_whole_grid_step(self, monkeypatch, case):
@@ -416,32 +384,36 @@ class TestCoarseToFineSearch:
         assert windowed or case not in WINDOWED
 
     def test_fallback_reach_from_bound(self, monkeypatch):
-        # both signs of the multi-term torus fall back to the whole grid; each
-        # transform's reach is the top tile bound in cells, which bounds every
-        # distance
-        ((sgn, _, spacing, periodic),) = SEARCH_CASES["fallback-torus-d3-n96"]()
+        # a sign of the 3-D box falls back to the whole grid; the transform's
+        # reach is that sign's top tile bound in cells, which bounds every
+        # distance and is short of the cap
+        ((sgn, _, spacing, periodic),) = SEARCH_CASES["fallback-box-d3-n64"]()
         diag = math.sqrt(sum(h * h for h in spacing))
         reaches = min_plus_reaches(monkeypatch, sgn.shape)
-        _grid_argmax(sgn, spacing, periodic)
+        _, r = _grid_argmax(sgn, spacing, periodic)
         monkeypatch.undo()
         want = []
         for s in (1, -1):
-            top = signsearch._tile_bounds(sgn == s, spacing, periodic, diag)[0][0]
+            top = signsearch._tile_bounds(sgn == s, spacing, diag)[0][0]
             want.append([math.ceil(top / h) for h in spacing])
-        assert sorted(reach for kind, reach in reaches if kind == "whole") == sorted(want)
+        whole = [reach for kind, reach in reaches if kind == "whole"]
+        assert whole and all(reach in want for reach in whole)
+        for reach in whole:
+            assert all(math.ceil(r / h) <= c < n - 1 for c, h, n in zip(reach, spacing, sgn.shape))
 
     def test_odd_only_grids_take_caps_once(self, monkeypatch):
-        # the positive sign has no coarse cell of another sign, so it takes
-        # one whole-grid transform at the caps; the negative sign's tile
-        # bounds all fall below the answer
+        # on the torus both signs take one whole-grid transform at the caps;
+        # in the box the positive sign has no coarse cell of another sign, so
+        # it takes one at the caps, and the negative sign's tile bounds all
+        # fall below the answer
         for sgn, _, spacing, periodic in odd_only_grids(128):
             reaches = min_plus_reaches(monkeypatch, sgn.shape)
             _grid_argmax(sgn, spacing, periodic)
             monkeypatch.undo()
             caps = [n // 2 if periodic else n - 1 for n in sgn.shape]
             whole = [reach for kind, reach in reaches if kind == "whole"]
-            assert len(whole) == 1
-            assert all(r >= c for r, c in zip(whole[0], caps))
+            assert len(whole) == (2 if periodic else 1)
+            assert all(r >= c for reach in whole for r, c in zip(reach, caps))
 
 
 def brute_distances(mine, spacing, periodic):
