@@ -5,7 +5,7 @@ All three domains run one pipeline, ``largest_signfree_ball``:
 - sampler: ``_grid_sample`` (wrap-around torus grid, plain box grid) or
   ``_sphere_sample`` (equal-area spiral on the 2-sphere) evaluates the
   function and supplies the grid diagonal and the domain's search step;
-- signs: ``_signs`` classifies every sample as +1, -1 or near zero;
+- signs: ``_signs`` classifies every sample as +1, -1 or near zero (int8);
 - outcomes: constant sign and all-zero grids are reported directly;
 - search: the sample farthest from a sample of another sign is the
   center, and its radius is refined by bisection toward its nearest sign
@@ -80,6 +80,7 @@ _TILE = 8  # cells per axis of a coarse-to-fine search tile (even)
 _EDT_CALL_CELLS = 512  # the fixed cost of one EDT call, in cells
 _SLAB_CELLS = 1 << 15  # cells per slab of the min-plus passes, sized to stay in cache
 _PROBE_RESOLUTION = 2**14  # circle samples per polynomial in the sharpness probe
+_PROBE_BATCH = 32  # sharpness-probe candidates scored per matrix product
 # relative slack on a tile bound: a collinear case meets the bound exactly,
 # and rounding may overshoot it by a few ulps
 _BOUND_SLACK = 1.0 + 32.0 * np.finfo(float).eps
@@ -185,17 +186,21 @@ def _evaluate(f, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _signs(values: np.ndarray) -> np.ndarray:
-    """Sign of each sample, 0 within ``_NEAR_ZERO`` of the largest |value|.
+def _signs(values: np.ndarray, axis=None) -> np.ndarray:
+    """Sign of each sample as int8: +1, -1, or 0 within ``_NEAR_ZERO`` of the
+    largest |value|, taken over the whole array, or along ``axis`` (one scale
+    per row of the sharpness probe's batches).
 
     Raises ValueError on a NaN or inf sample, which would make every
     threshold NaN or inf and every sample read as zero.
     """
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    if not math.isfinite(scale):
+    if values.size == 0:
+        return np.zeros(values.shape, dtype=np.int8)
+    scale = np.maximum(values.max(axis, keepdims=True), -values.min(axis, keepdims=True))
+    if not np.isfinite(scale).all():
         raise ValueError("function values must be finite; got NaN or inf on the grid")
     thresh = _NEAR_ZERO * scale
-    return np.where(values > thresh, 1, np.where(values < -thresh, -1, 0))
+    return (values > thresh).view(np.int8) - (values < -thresh).view(np.int8)
 
 
 def _min_plus_edt(mine: np.ndarray, spacing, periodic: bool, reach) -> np.ndarray:
@@ -673,29 +678,50 @@ def verify_bound(f, dom: SearchDomain, bound: float, seed: Optional[int] = None)
 # ----------------------------------------------------------------------
 
 
-def _largest_gap_on_circle(values: np.ndarray) -> float:
-    """Longest arc (fraction of the period) without a sign change."""
-    n = values.size
-    sgn = _signs(values)
-    nxt = np.roll(sgn, -1)
-    change = (sgn * nxt < 0) | (sgn == 0)
-    idx = np.nonzero(change)[0]
-    if idx.size == 0:
-        return 1.0
-    gaps = np.diff(idx)
-    wrap = idx[0] + n - idx[-1]
-    return float(max(gaps.max(initial=0), wrap)) / n
+def _largest_gaps(values: np.ndarray) -> np.ndarray:
+    """Longest arc (fraction of the period) without a sign change on each row
+    of an (m, n) array of circle samples, each row on its own sign scale.
 
-
-def _band_poly_values(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Re(sum_j coeffs[j] e^{2 pi i (A+j) x}) on the sample points, from the
-    ``_band_table`` columns of the band's frequencies A .. A + len(coeffs) - 1."""
-    return np.real(table[:, : coeffs.size] @ coeffs)
+    A sample is a change when its sign is 0 or the next sample's, cyclically,
+    has the other sign. One ``flatnonzero`` over the whole change mask lists
+    every row's changes in order: each change's gap runs to the next change
+    of its row, and a row's last change wraps around to its first. A row
+    without a change reads 1.0.
+    """
+    m, n = values.shape
+    sgn = _signs(values, axis=1)
+    change = np.empty(sgn.shape, dtype=bool)
+    np.less(sgn[:, :-1] * sgn[:, 1:], 0, out=change[:, :-1])
+    np.less(sgn[:, -1] * sgn[:, 0], 0, out=change[:, -1])
+    change |= sgn == 0
+    idx = np.flatnonzero(change)
+    counts = np.count_nonzero(change, axis=1)
+    has = counts > 0
+    last = np.cumsum(counts)[has] - 1  # each changing row's last change in idx
+    first = last - counts[has] + 1
+    gap = np.empty_like(idx)
+    gap[:-1] = np.diff(idx)
+    gap[last] = idx[first] + n - idx[last]
+    gaps = np.ones(m)
+    gaps[has] = np.maximum.reduceat(gap, first) / n
+    return gaps
 
 
 def _band_table(A: int, B: int, x: np.ndarray) -> np.ndarray:
-    """e^{2 pi i (A+j) x} on the sample points, one column per j = 0..B."""
-    return np.exp(np.multiply.outer(x, 2j * np.pi * (A + np.arange(B + 1))))
+    """cos and -sin of 2 pi (A+j) x on the sample points, shape (B+1, 2, n):
+    the real and imaginary parts' factors in Re(c e^{2 pi i (A+j) x}). Every
+    band [A, A+B'] takes its first B'+1 rows."""
+    theta = np.multiply.outer(2.0 * np.pi * (A + np.arange(B + 1)), x)
+    return np.stack([np.cos(theta), -np.sin(theta)], axis=1)
+
+
+def _band_values(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Re(sum_j coeffs[:, j] e^{2 pi i (A+j) x}) on the sample points, one row
+    per row of the complex (m, B'+1) ``coeffs``, from the first B'+1 rows of
+    ``_band_table``: one real matrix product."""
+    m, k = coeffs.shape
+    parts = np.stack([coeffs.real, coeffs.imag], axis=2).reshape(m, 2 * k)
+    return parts @ table[:k].reshape(2 * k, -1)
 
 
 def _structured_coeffs(A: int, B: int, roots: np.ndarray, psi: float) -> np.ndarray:
@@ -716,46 +742,78 @@ def sharpness_probe(A: int, B: int, trials: int = 400, seed: int = 0) -> float:
     B' <= B is admissible and is searched too, which makes the result
     nondecreasing in B. The measured best never exceeds the ceiling
     (B+1)/(2A+B) + 2^-12 and in practice lands well above half of it.
+
+    Each band spends trials // 2 candidates on each family. Candidates are
+    scored ``_PROBE_BATCH`` at a time (one real matrix product, int8 signs
+    and one gap scan per batch) but accepted in draw order: the coordinate
+    search takes the first candidate of a batch that beats the current gap
+    and resumes right after it, so it accepts what a one-at-a-time search
+    would.
     """
-    if not isinstance(A, (int, np.integer)) or A < 1:
-        raise ValueError(f"A must be an integer >= 1, got {A!r}")
-    if not isinstance(B, (int, np.integer)) or B < 0:
-        raise ValueError(f"B must be an integer >= 0, got {B!r}")
+    for name, value, least in (("A", A, 1), ("B", B, 0), ("trials", trials, 1)):
+        if not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     rng = np.random.default_rng(seed)
     x = np.arange(_PROBE_RESOLUTION) / _PROBE_RESOLUTION
-    table = _band_table(A, B, x)  # every band [A, A+B'] takes its first B'+1 columns
-    best = 0.0
-    for Bp in range(0, B + 1):
-        best = max(best, _probe_band(A, Bp, trials, rng, x, table))
+    table = _band_table(A, B, x)
+    best = float(_largest_gaps(np.cos(2.0 * np.pi * A * x)[None, :])[0])  # the band B' = 0
+    count = trials // 2
+    for Bp in range(1, B + 1):
+        best = max(best, _probe_random(A, Bp, count, rng, table))
+        best = max(best, _probe_cluster(A, Bp, count, rng, table))
     return best
 
 
-def _probe_band(A: int, B: int, trials: int, rng, x: np.ndarray, table: np.ndarray) -> float:
-    if B == 0:
-        return _largest_gap_on_circle(np.cos(2.0 * np.pi * A * x))
+def _probe_random(A: int, B: int, count: int, rng, table: np.ndarray) -> float:
+    """Best gap of ``count`` random coefficient draws in the band [A, A+B].
+
+    The draws are one block of the stream that per-draw calls of B+1 real
+    then B+1 imaginary parts would take."""
+    draws = rng.normal(size=(count, 2, B + 1))
+    coeffs = draws[:, 0] + 1j * draws[:, 1]
     best = 0.0
-    # random draws
-    for _ in range(trials // 2):
-        coeffs = rng.normal(size=B + 1) + 1j * rng.normal(size=B + 1)
-        best = max(best, _largest_gap_on_circle(_band_poly_values(table, coeffs)))
-    # structured cluster on consecutive carrier zeros around 1/2
+    for a in range(0, count, _PROBE_BATCH):
+        gaps = _largest_gaps(_band_values(table, coeffs[a:a + _PROBE_BATCH]))
+        best = max(best, float(gaps.max()))
+    return best
+
+
+def _probe_cluster(A: int, B: int, count: int, rng, table: np.ndarray) -> float:
+    """Gap of the structured cluster in the band [A, A+B], B >= 1, after
+    ``count`` steps of its stochastic coordinate search.
+
+    The cluster starts on consecutive carrier zeros around 1/2. Step ``it``
+    moves the roots by step0 * 2^(-it/40) and the phase by 0.3 * 2^(-it/40)
+    times row ``it`` of one block of noise, the stream that per-step calls
+    would draw, and is taken when it widens the gap. A batch of steps is
+    scored from the current state; the first that widens the gap is taken,
+    and the next batch starts right after it.
+    """
     M = 2 * A + B
     roots = np.array([0.5 + (j - (B - 1) / 2.0) / M for j in range(B)])
     psi = 0.0
-    cur = _largest_gap_on_circle(
-        _band_poly_values(table, _structured_coeffs(A, B, roots, psi))
-    )
+    start = _structured_coeffs(A, B, roots, psi)[None, :]
+    cur = float(_largest_gaps(_band_values(table, start))[0])
+    noise = rng.normal(size=(count, B + 1))
     step0 = 1.0 / (4.0 * M)
-    for it in range(trials // 2):
-        scale = 2.0 ** (-it / 40.0)
-        cand_roots = roots + rng.normal(scale=step0 * scale, size=B)
-        cand_psi = psi + rng.normal(scale=0.3 * scale)
-        gap = _largest_gap_on_circle(
-            _band_poly_values(table, _structured_coeffs(A, B, cand_roots, cand_psi))
-        )
-        if gap > cur:
-            cur, roots, psi = gap, cand_roots, cand_psi
-    return max(best, cur)
+    scale = [2.0 ** (-it / 40.0) for it in range(count)]
+    root_step = np.array([step0 * s for s in scale])
+    psi_step = np.array([0.3 * s for s in scale])
+    it = 0
+    while it < count:
+        at = slice(it, it + _PROBE_BATCH)
+        cand_roots = roots + root_step[at, None] * noise[at, :B]
+        cand_psi = psi + psi_step[at] * noise[at, B]
+        cand = np.stack([_structured_coeffs(A, B, r, p) for r, p in zip(cand_roots, cand_psi)])
+        gaps = _largest_gaps(_band_values(table, cand))
+        up = np.flatnonzero(gaps > cur)
+        if up.size == 0:
+            it += _PROBE_BATCH
+            continue
+        j = int(up[0])
+        cur, roots, psi = float(gaps[j]), cand_roots[j], float(cand_psi[j])
+        it += j + 1
+    return cur
 
 
 # ----------------------------------------------------------------------

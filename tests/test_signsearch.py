@@ -1127,6 +1127,109 @@ class TestSharpnessProbe:
         assert vals[0] <= vals[1] + 1e-12
         assert vals[1] <= vals[2] + 1e-12
 
+    @pytest.mark.parametrize("trials", [0, -7, 2.5, "10", None])
+    def test_trials_must_be_integer_at_least_one(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            sharpness_probe(5, 1, trials=trials)
+
+
+def reference_signs(values):
+    """The nested-where sign rule: +1, -1, or 0 within _NEAR_ZERO of the
+    largest |value| of the whole array."""
+    thresh = signsearch._NEAR_ZERO * float(np.max(np.abs(values))) if values.size else 0.0
+    return np.where(values > thresh, 1, np.where(values < -thresh, -1, 0))
+
+
+def reference_gap(values):
+    """Longest arc of a 1-D circle sample without a sign change, by an
+    np.roll scan of one polynomial at a time."""
+    n = values.size
+    sgn = reference_signs(values)
+    nxt = np.roll(sgn, -1)
+    change = (sgn * nxt < 0) | (sgn == 0)
+    idx = np.nonzero(change)[0]
+    if idx.size == 0:
+        return 1.0
+    gaps = np.diff(idx)
+    wrap = idx[0] + n - idx[-1]
+    return float(max(gaps.max(initial=0), wrap)) / n
+
+
+class TestSigns:
+    def sample_with_edges(self, rng, n=2000):
+        """Random values with exact zeros and values exactly at, and one ulp
+        past, +-threshold."""
+        v = rng.normal(size=n)
+        v[::7] = 0.0
+        t = signsearch._NEAR_ZERO * float(np.max(np.abs(v)))
+        v[1:9] = [t, -t, np.nextafter(t, np.inf), np.nextafter(-t, -np.inf),
+                  np.nextafter(t, 0.0), np.nextafter(-t, 0.0), 0.5 * t, -0.0]
+        return v
+
+    def test_int8_and_nested_where_rule(self):
+        rng = np.random.default_rng(4)
+        for flip in (1.0, -1.0):  # the scale from the largest value, then from the least
+            v = flip * self.sample_with_edges(rng)
+            got = _signs(v)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, reference_signs(v))
+            assert set(np.unique(got)) == {-1, 0, 1}
+            grid = v[:1936].reshape(44, 44)
+            assert np.array_equal(_signs(grid), reference_signs(grid))
+            # a strided view, as a sampled raster or a real part is
+            assert np.array_equal(_signs(grid[::3, 1::2]), reference_signs(grid[::3, 1::2]))
+
+    def test_per_row_scale(self):
+        rng = np.random.default_rng(5)
+        rows = np.stack([self.sample_with_edges(rng, 512) * s for s in (1e-9, 1.0, -3e7)])
+        got = _signs(rows, axis=1)
+        assert got.dtype == np.int8
+        for row, sgn in zip(rows, got):
+            assert np.array_equal(sgn, reference_signs(row))
+        # one scale for the whole array reads the small row as zeros
+        assert not _signs(rows)[0].any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [None, 1])
+    def test_non_finite_raises(self, bad, axis):
+        v = np.cos(np.arange(64.0)).reshape(4, 16)
+        v[2, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _signs(v, axis=axis)
+
+    def test_empty(self):
+        for shape in ((0,), (0, 3), (3, 0)):
+            got = _signs(np.zeros(shape))
+            assert got.dtype == np.int8 and got.shape == shape
+
+
+class TestLargestGaps:
+    def test_rows_match_one_row_scan(self):
+        n = 96
+        x = np.arange(n) / n
+        rows = [
+            2.0 + np.cos(2 * np.pi * x),  # no change
+            np.where(np.arange(n) == 40, 0.0, 1.0),  # one change: a lone zero
+            np.zeros(n),  # all zero
+            np.where(np.arange(n) < 10, -1.0, 1.0),  # a change across the wrap
+            -np.ones(n),  # no change, negative
+            1e-8 * np.cos(6 * np.pi * x + 0.3),  # a small row next to large ones
+            np.cos(2 * np.pi * 5 * x),  # zeros fall between samples
+            np.cos(2 * np.pi * 4 * x),  # exact zeros on samples
+        ]
+        rng = np.random.default_rng(6)
+        rows += [rng.normal(size=n) * 10.0 ** rng.integers(-6, 7) for _ in range(12)]
+        values = np.stack(rows)
+        got = signsearch._largest_gaps(values)
+        assert got.shape == (len(rows),)
+        assert [float(g) for g in got] == [reference_gap(row) for row in rows]
+        assert got[0] == 1.0 and got[1] == 1.0 and got[2] == 1.0 / n
+        assert got[3] == (n - 10) / n
+
+    def test_single_rows(self):
+        for row in (np.ones(16), np.zeros(16), np.cos(2 * np.pi * np.arange(16) / 16)):
+            assert signsearch._largest_gaps(row[None, :])[0] == reference_gap(row)
+
 
 def reference_band_poly_values(A, coeffs, x):
     """The band polynomial summed one coefficient at a time, each with its
@@ -1137,36 +1240,49 @@ def reference_band_poly_values(A, coeffs, x):
     return vals
 
 
+def reference_cluster(A, B, count, rng, x):
+    """The structured cluster's coordinate search one step at a time, with
+    the per-coefficient evaluation and the np.roll gap scan above. Returns
+    (gap, taken steps)."""
+    M = 2 * A + B
+    roots = np.array([0.5 + (j - (B - 1) / 2.0) / M for j in range(B)])
+    psi = 0.0
+    cur = reference_gap(
+        reference_band_poly_values(A, signsearch._structured_coeffs(A, B, roots, psi), x)
+    )
+    step0 = 1.0 / (4.0 * M)
+    taken = []
+    for it in range(count):
+        scale = 2.0 ** (-it / 40.0)
+        cand_roots = roots + rng.normal(scale=step0 * scale, size=B)
+        cand_psi = psi + rng.normal(scale=0.3 * scale)
+        g = reference_gap(
+            reference_band_poly_values(
+                A, signsearch._structured_coeffs(A, B, cand_roots, cand_psi), x
+            )
+        )
+        if g > cur:
+            cur, roots, psi = g, cand_roots, cand_psi
+            taken.append(it)
+    return cur, taken
+
+
 def reference_sharpness_probe(A, B, trials, seed, resolution=2**14):
-    """sharpness_probe with the per-coefficient evaluation above."""
-    gap = signsearch._largest_gap_on_circle
+    """sharpness_probe one candidate at a time, with the per-coefficient
+    evaluation and the np.roll gap scan above. Returns (best, taken): the
+    (band, step) of every step the structured searches took."""
     rng = np.random.default_rng(seed)
     x = np.arange(resolution) / resolution
-    best = gap(np.cos(2.0 * np.pi * A * x))
+    best = reference_gap(np.cos(2.0 * np.pi * A * x))
+    taken = []
     for Bp in range(1, B + 1):
         for _ in range(trials // 2):
             coeffs = rng.normal(size=Bp + 1) + 1j * rng.normal(size=Bp + 1)
-            best = max(best, gap(reference_band_poly_values(A, coeffs, x)))
-        M = 2 * A + Bp
-        roots = np.array([0.5 + (j - (Bp - 1) / 2.0) / M for j in range(Bp)])
-        psi = 0.0
-        cur = gap(
-            reference_band_poly_values(A, signsearch._structured_coeffs(A, Bp, roots, psi), x)
-        )
-        step0 = 1.0 / (4.0 * M)
-        for it in range(trials // 2):
-            scale = 2.0 ** (-it / 40.0)
-            cand_roots = roots + rng.normal(scale=step0 * scale, size=Bp)
-            cand_psi = psi + rng.normal(scale=0.3 * scale)
-            g = gap(
-                reference_band_poly_values(
-                    A, signsearch._structured_coeffs(A, Bp, cand_roots, cand_psi), x
-                )
-            )
-            if g > cur:
-                cur, roots, psi = g, cand_roots, cand_psi
+            best = max(best, reference_gap(reference_band_poly_values(A, coeffs, x)))
+        cur, steps = reference_cluster(A, Bp, trials // 2, rng, x)
         best = max(best, cur)
-    return best
+        taken += [(Bp, it) for it in steps]
+    return best, taken
 
 
 class TestSharpnessTable:
@@ -1176,17 +1292,48 @@ class TestSharpnessTable:
         for A, B in ((5, 1), (3, 2), (4, 3)):
             table = signsearch._band_table(A, B, x)
             for Bp in range(B + 1):
-                coeffs = rng.normal(size=Bp + 1) + 1j * rng.normal(size=Bp + 1)
-                got = signsearch._band_poly_values(table, coeffs)
-                ref = reference_band_poly_values(A, coeffs, x)
-                assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(coeffs))
+                coeffs = rng.normal(size=(5, Bp + 1)) + 1j * rng.normal(size=(5, Bp + 1))
+                got = signsearch._band_values(table, coeffs)
+                assert got.shape == (5, x.size)
+                for row, c in zip(got, coeffs):
+                    ref = reference_band_poly_values(A, c, x)
+                    assert np.max(np.abs(row - ref)) <= 1e-13 * np.sum(np.abs(c))
 
     @pytest.mark.parametrize("A,B", [(5, 1), (3, 2), (4, 3)])
     def test_probe_matches_per_coefficient_probe(self, A, B):
         for seed in (0, 7):
             assert sharpness_probe(A, B, trials=80, seed=seed) == reference_sharpness_probe(
                 A, B, 80, seed
-            )
+            )[0]
+
+    @pytest.mark.parametrize(
+        "A,B,trials,seed,step",
+        [(5, 1, 200, 0, 82), (3, 2, 300, 1, 8), (3, 2, 201, 7, None), (4, 2, 1, 0, None)],
+        ids=["accept-mid-batch-82", "accept-mid-batch-8", "odd-trials", "one-trial"],
+    )
+    def test_probe_matches_one_at_a_time(self, A, B, trials, seed, step):
+        best, taken = reference_sharpness_probe(A, B, trials, seed)
+        assert sharpness_probe(A, B, trials=trials, seed=seed) == best
+        if step is not None:
+            # the case takes a step inside a batch
+            assert step % signsearch._PROBE_BATCH != 0
+            assert step in [it for _, it in taken]
+
+    @pytest.mark.parametrize(
+        "A,B,seed,steps", [(3, 2, 35, [114, 119]), (4, 1, 39, [74, 84])],
+        ids=["two-steps-one-batch-3-2", "two-steps-one-batch-4-1"],
+    )
+    def test_cluster_takes_steps_in_draw_order(self, A, B, seed, steps, monkeypatch):
+        """Two steps fall in one batch: the search resumes right after the
+        first, from the new state, so it takes the second too, at any batch
+        size."""
+        x = np.arange(2**14) / 2**14
+        cur, taken = reference_cluster(A, B, 150, np.random.default_rng(seed), x)
+        assert taken == steps
+        table = signsearch._band_table(A, B, x)
+        for batch in (1, 5, 32):
+            monkeypatch.setattr(signsearch, "_PROBE_BATCH", batch)
+            assert signsearch._probe_cluster(A, B, 150, np.random.default_rng(seed), table) == cur
 
 
 class TestRandomInstances:
